@@ -69,8 +69,9 @@ class Executor:
     # -- the hardware pipeline -----------------------------------------
 
     def _run(self):
+        has_work = self._queue.__len__
         while True:
-            yield from self._cond.wait_for(lambda: bool(self._queue))
+            yield from self._cond.wait_for(has_work)
             txn = self._queue.popleft()
             self.slot_freed.fire(self)
             # Fixed hardware dispatch: descriptor decode + channel request.

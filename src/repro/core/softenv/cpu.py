@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.sim.sync import Mutex
 
 MHZ = 1_000_000
@@ -43,9 +43,16 @@ class Cpu:
         self._mutex = Mutex(sim) if exclusive else None
         self.cycles_charged = 0
         self.contention_waits = 0
+        # cycles -> ns, filled on first use: software charges repeat a
+        # handful of cost constants, so the float math runs once each.
+        self._ns_memo: dict[int, int] = {}
 
     def cycles_to_ns(self, cycles: int) -> int:
-        return max(int(round(cycles * self.cpi * 1e9 / self.freq_hz)), 0)
+        ns = self._ns_memo.get(cycles)
+        if ns is None:
+            ns = self._ns_memo[cycles] = max(
+                int(round(cycles * self.cpi * 1e9 / self.freq_hz)), 0)
+        return ns
 
     def execute(self, cycles: int) -> Generator:
         """Process command: occupy the core for ``cycles``."""
@@ -55,7 +62,7 @@ class Cpu:
             return
         tracer = self.sim._tracer
         if self._mutex is None:
-            yield Timeout(ns)
+            yield ns
             if tracer is not None:
                 tracer.complete("cpu", f"cpu/{self.name}", "busy",
                                 self.sim.now - ns, ns, {"cycles": cycles})
@@ -64,7 +71,7 @@ class Cpu:
             self.contention_waits += 1
         yield from self._mutex.acquire()
         try:
-            yield Timeout(ns)
+            yield ns
             if tracer is not None:
                 # Span starts after the core was won, so shared-CPU
                 # traces show contention as gaps, not stretched spans.

@@ -30,6 +30,7 @@ from typing import Generator, Optional, Union
 
 import numpy as np
 
+from repro.analysis.metrics import summarize_latencies
 from repro.baselines.async_hw import AsyncHwController
 from repro.baselines.sync_hw import SyncHwController
 from repro.core import (
@@ -172,21 +173,12 @@ def chaos_spec(vendor: str = "hynix", seed: int = 4,
     return spec
 
 
-def _percentiles(latencies: list[int]) -> dict:
-    if not latencies:
-        return {"count": 0, "p50_ns": 0, "p99_ns": 0, "max_ns": 0}
-    ordered = sorted(latencies)
-    last = len(ordered) - 1
-
-    def pct(q: float) -> int:
-        return int(ordered[min(last, int(len(ordered) * q))])
-
-    return {
-        "count": len(ordered),
-        "p50_ns": pct(0.50),
-        "p99_ns": pct(0.99),
-        "max_ns": int(ordered[last]),
-    }
+def _latency_block(latencies: list[int]) -> dict:
+    """A phase's latency block: the bench artifacts' summary (linearly
+    interpolated percentiles), so ``p99_ns`` means the same everywhere."""
+    stats = summarize_latencies(latencies)
+    return {"count": stats.count, "p50_ns": stats.p50_ns,
+            "p99_ns": stats.p99_ns, "max_ns": stats.max_ns}
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +239,7 @@ def _run_ftl_phase(target: str, profile: VendorProfile,
     phase = {
         "writes_completed": len(latencies),
         "writes_attempted": writes,
-        "latency": _percentiles(latencies),
+        "latency": _latency_block(latencies),
         "bad_blocks": ftl.bad_blocks.as_dict(),
         "counters": {
             "program_fail_rewrites": ftl.program_fail_rewrites,
@@ -383,7 +375,7 @@ def _run_ops_phase(profile: VendorProfile, campaign: FaultCampaign,
         ],
         "degraded_luns": sorted(recovery.degraded_luns),
         "feature_readback": feature_state["readback"],
-        "latency": _percentiles(latencies),
+        "latency": _latency_block(latencies),
         "counters": {
             "recovery": recovery.stats.as_dict(),
             "reliability": {
@@ -506,7 +498,7 @@ def _run_spor_phase(profile: VendorProfile, campaign: FaultCampaign,
     phase: dict = {
         "writes_acked": len(latencies),
         "writes_attempted": writes,
-        "latency": _percentiles(latencies),
+        "latency": _latency_block(latencies),
     }
     if error:
         phase["error"] = error
@@ -630,7 +622,7 @@ def run_chaos(
 
     targets = ["babol"] + (["sync-hw", "async-hw"] if baselines else [])
     report: dict = {
-        "schema": 2,
+        "schema": 3,
         "campaign": campaign.to_dict(),
         "vendor": vendor_name,
         "fidelity": fidelity,

@@ -223,7 +223,7 @@ class Lun:
     def deliver_segment(self, segment: WaveformSegment) -> None:
         """Schedule processing of each decoded action at its offset."""
         for offset, action in segment.actions:
-            self.sim.schedule(offset, lambda a=action: self._process(a))
+            self.sim.schedule(offset, self._process, action)
 
     def deliver_segment_inline(self, segment: WaveformSegment,
                                base_ns: int) -> None:

@@ -1,12 +1,14 @@
 """Core event loop and process machinery.
 
-The simulator keeps a heap of ``(time, sequence, Event)`` entries.  The
-``sequence`` counter makes ordering of same-time events deterministic
-(FIFO by schedule order), which matters for reproducing waveform traces
-bit-exactly across runs.  Zero-delay events — the dominant traffic on
-the hot path (every trigger fire, spawn, and finished-process join) —
-ride a separate FIFO now-queue that preserves the same total order
-while skipping the heap; timed events recycle pooled heap entries.
+The simulator keeps a heap of plain ``(time, sequence, Event)`` tuples.
+The ``sequence`` counter makes ordering of same-time events
+deterministic (FIFO by schedule order), which matters for reproducing
+waveform traces bit-exactly across runs.  Zero-delay events — the
+dominant traffic on the hot path (every trigger fire, spawn, and
+finished-process join) — ride a separate FIFO now-queue that preserves
+the same total order while skipping the heap.  An event may carry one
+argument for its callback, so resuming a process with a value needs no
+closure.
 
 Processes are plain Python generators.  A process yields *commands* to
 the kernel:
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -64,21 +66,20 @@ class WaitProcess:
     process: "Process"
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    time: int
-    seq: int
-    event: "Event" = field(compare=False)
+# Marks an event whose callback takes no argument.
+_NO_ARG = object()
 
 
 class Event:
-    """A scheduled callback.  Cancellable until it has run."""
+    """A scheduled callback, run as ``callback(arg)`` or, without an
+    argument, ``callback()``.  Cancellable until it has run."""
 
-    __slots__ = ("time", "callback", "cancelled", "_done")
+    __slots__ = ("time", "callback", "arg", "cancelled", "_done")
 
-    def __init__(self, time: int, callback: Callable[[], None]):
+    def __init__(self, time: int, callback: Callable, arg: Any = _NO_ARG):
         self.time = time
         self.callback = callback
+        self.arg = arg
         self.cancelled = False
         self._done = False
 
@@ -111,9 +112,9 @@ class Process:
         self.value: Any = None
         self.error: Optional[BaseException] = None
         self._waiters: list[Callable[[Any], None]] = []
-        # One reusable no-value resume callback: every Timeout wakeup
-        # schedules this same bound callable instead of a fresh lambda.
-        self._resume: Callable[[], None] = lambda: self._step(None)
+        # The bound ``_step``, made once: every wakeup (timeout, trigger,
+        # join) schedules or registers this same callable.
+        self._resume: Callable[..., None] = self._step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.finished else "running"
@@ -138,14 +139,19 @@ class Process:
 
     def _dispatch(self, command: Any) -> None:
         sim = self.sim
-        if isinstance(command, Timeout):
+        # Exact types first: bare ints (Timeout shorthand) and Timeouts.
+        kind = type(command)
+        if kind is int:
+            sim.schedule(command, self._resume)
+        elif kind is Timeout:
             sim.schedule(command.delay, self._resume)
         elif isinstance(command, WaitTrigger):
-            command.trigger._add_waiter(self._step)
+            command.trigger._add_waiter(self._resume)
         elif isinstance(command, WaitProcess):
-            command.process._add_join_waiter(self._step)
+            command.process._add_join_waiter(self._resume)
+        elif isinstance(command, Timeout):
+            sim.schedule(command.delay, self._resume)
         elif isinstance(command, int):
-            # Bare integers are accepted as a shorthand for Timeout.
             sim.schedule(command, self._resume)
         else:
             raise SimError(
@@ -165,7 +171,7 @@ class Process:
     def _add_join_waiter(self, waiter: Callable[[Any], None]) -> None:
         if self.finished:
             # Resume on a fresh event to keep ordering causal.
-            self.sim.schedule(0, lambda: waiter(self.value))
+            self.sim.schedule(0, waiter, self.value)
         else:
             self._waiters.append(waiter)
 
@@ -191,7 +197,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[int, int, Event]] = []
         # Zero-delay events (trigger resumptions, spawns, joins of
         # finished processes) bypass the heap entirely: they can only
         # ever run at the current time, after every heap entry already
@@ -199,11 +205,7 @@ class Simulator:
         # (time, seq) order the heap would produce, without the
         # O(log n) push/pop or the entry allocation.
         self._now_queue: deque[Event] = deque()
-        # Recycled _HeapEntry slots: timed events mutate a pooled entry
-        # instead of allocating a fresh one per schedule() call.
-        self._entry_pool: list[_HeapEntry] = []
         self._seq = 0
-        self._running = False
         # Optional observability hook (repro.obs.Tracer).  Every kernel
         # call site guards with a single `is not None` check so the
         # untraced fast path stays one attribute load per event.
@@ -229,30 +231,23 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` ns from now."""
+    def schedule(self, delay: int, callback: Callable, arg: Any = _NO_ARG) -> Event:
+        """Schedule ``callback`` to run ``delay`` ns from now, as
+        ``callback(arg)`` when ``arg`` is given, else ``callback()``."""
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         delay = int(delay)
         if delay == 0:
             # Fast path: an immediately-ready event never touches the
             # heap (see ``_now_queue``); ordering is unchanged.
-            event = Event(self.now, callback)
+            event = Event(self.now, callback, arg)
             self._now_queue.append(event)
             if self._tracer is not None:
                 self._tracer.kernel_event("schedule", self.now, event.time)
             return event
-        event = Event(self.now + delay, callback)
+        event = Event(self.now + delay, callback, arg)
         self._seq += 1
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry.time = event.time
-            entry.seq = self._seq
-            entry.event = event
-        else:
-            entry = _HeapEntry(event.time, self._seq, event)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (event.time, self._seq, event))
         if self._tracer is not None:
             self._tracer.kernel_event("schedule", self.now, event.time)
         return event
@@ -275,10 +270,8 @@ class Simulator:
 
     def run(self, until: Optional[int] = None) -> None:
         """Run events until the queues drain or ``until`` (absolute ns)."""
-        self._running = True
         heap = self._heap
         nq = self._now_queue
-        pool = self._entry_pool
         if until is None or until >= self.now:
             while True:
                 # Heap entries stamped for the current instant were
@@ -286,7 +279,7 @@ class Simulator:
                 # now-queue (a zero-delay schedule can only happen at
                 # the current time), so they drain first; the now-queue
                 # then drains FIFO before time may advance.
-                if nq and not (heap and heap[0].time <= self.now):
+                if nq and not (heap and heap[0][0] <= self.now):
                     event = nq.popleft()
                     if event.cancelled:
                         if self._tracer is not None:
@@ -295,18 +288,16 @@ class Simulator:
                     event._done = True
                     if self._tracer is not None:
                         self._tracer.kernel_event("fire", self.now, event.time)
-                    event.callback()
+                    if event.arg is _NO_ARG:
+                        event.callback()
+                    else:
+                        event.callback(event.arg)
                     continue
                 if not heap:
                     break
-                entry = heap[0]
-                if until is not None and entry.time > until:
+                if until is not None and heap[0][0] > until:
                     break
-                heapq.heappop(heap)
-                event = entry.event
-                entry.event = None  # release the slot's reference
-                if len(pool) < 128:
-                    pool.append(entry)
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     # Cancellation itself is a plain flag flip (Event has
                     # no simulator back-reference); it becomes observable
@@ -320,14 +311,16 @@ class Simulator:
                 event._done = True
                 if self._tracer is not None:
                     self._tracer.kernel_event("fire", self.now, event.time)
-                event.callback()
+                if event.arg is _NO_ARG:
+                    event.callback()
+                else:
+                    event.callback(event.arg)
         if self._san_liveness is not None and not heap and not nq:
             # Quiescent point: nothing left to run anywhere.  If work is
             # still outstanding, that is a deadlock, not completion.
             self._san_liveness.on_quiescent(self.now)
         if until is not None and self.now < until:
             self.now = until
-        self._running = False
 
     def run_process(self, gen: Generator, name: str = "", until: Optional[int] = None):
         """Spawn ``gen``, run the simulation, and return the process value."""
@@ -339,12 +332,6 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for entry in self._heap if entry.event.pending) + sum(
+        return sum(1 for entry in self._heap if entry[2].pending) + sum(
             1 for event in self._now_queue if event.pending
         )
-
-
-def passthrough(iterable: Iterable) -> Generator:
-    """Wrap a finished iterable as a trivially complete process body."""
-    for item in iterable:  # pragma: no cover - convenience shim
-        yield item

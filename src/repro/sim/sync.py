@@ -37,10 +37,12 @@ class Trigger:
         """Fire now: every process currently waiting resumes with ``value``."""
         self.fire_count += 1
         self.last_value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            # Resume via the scheduler so firing is never re-entrant.
-            self.sim.schedule(0, lambda w=waiter: w(value))
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for waiter in waiters:
+                # Resume via the scheduler so firing is never re-entrant.
+                self.sim.schedule(0, waiter, value)
 
     def wait(self) -> Generator:
         """Process command helper: ``value = yield from trigger.wait()``."""
@@ -158,4 +160,4 @@ class Condition:
 
     def wait_for(self, predicate: Callable[[], bool]) -> Generator:
         while not predicate():
-            yield from self._trigger.wait()
+            yield WaitTrigger(self._trigger)

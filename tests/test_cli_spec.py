@@ -127,7 +127,7 @@ def test_chaos_runs_from_example_spec(tmp_path, capsys):
                  "--json", str(report_path)])
     assert code == 0
     report = json.loads(report_path.read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["spec"]["campaign"]["baselines"] is False
     # Embedded hash covers the *overridden* spec, not the file.
     embedded = ExperimentSpec.from_dict(report["spec"])

@@ -17,7 +17,7 @@ from repro.core import (
     Watchdog,
 )
 from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import _latency_block, run_chaos
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.badblocks import (
@@ -269,3 +269,11 @@ def test_chaos_campaign_recovers_and_is_deterministic():
     again = run_chaos(seed=4, baselines=False)
     assert json.dumps(report, sort_keys=True) == json.dumps(
         again, sort_keys=True)
+
+
+def test_chaos_latency_block_interpolates_like_bench_artifacts():
+    """Chaos and bench artifacts share one percentile definition
+    (linear interpolation), so p50 of [1, 2] is 1.5, not a rank."""
+    block = _latency_block([2, 1])
+    assert block == {"count": 2, "p50_ns": 1.5, "p99_ns": 1.99, "max_ns": 2}
+    assert _latency_block([])["count"] == 0

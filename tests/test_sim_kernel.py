@@ -1,7 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.core import BabolController, ControllerConfig
+from repro.obs import Tracer
 from repro.sim import (
     Condition,
     Mutex,
@@ -10,6 +15,8 @@ from repro.sim import (
     Simulator,
     Timeout,
     Trigger,
+    WaitProcess,
+    WaitTrigger,
 )
 
 
@@ -129,6 +136,29 @@ def test_join_already_finished_process():
         return value
 
     assert sim.run_process(parent()) == 11
+
+
+def test_argument_events_run_and_trace_like_closure_events():
+    def run(schedule_all):
+        sim = Simulator()
+        tracer = Tracer(categories={"kernel"})
+        sim.set_tracer(tracer)
+        got = []
+        schedule_all(sim, got.append)
+        sim.run()
+        return got, [(e.track, e.name, e.ts, e.args) for e in tracer.events]
+
+    closures = run(lambda sim, fn: [sim.schedule(0, lambda: fn("a")),
+                                    sim.schedule(1, lambda: fn(None)),
+                                    sim.schedule(5, lambda: fn("b")).cancel(),
+                                    sim.schedule(7, lambda: fn("c"))])
+    with_args = run(lambda sim, fn: [sim.schedule(0, fn, "a"),
+                                     sim.schedule(1, fn, None),
+                                     sim.schedule(5, fn, "b").cancel(),
+                                     sim.schedule(7, fn, "c")])
+    assert closures == with_args
+    # A None argument is passed, not taken for "no argument".
+    assert closures[0] == ["a", None, "c"] and len(closures[1]) == 8
 
 
 def test_process_exception_propagates():
@@ -296,3 +326,221 @@ def test_nested_yield_from_composition():
         return a + b, sim.now
 
     assert sim.run_process(outer()) == (4, 10)
+
+
+# --- differential check against a reference scheduler ------------------------
+
+_DELAYS = (0, 0, 0, 1, 5, 5, 10)
+
+
+class _RefEvent:
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+
+    def __init__(self, time, seq, fn, args):
+        self.time, self.seq, self.fn, self.args = time, seq, fn, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _RefSim:
+    """Reference scheduler: one flat list; each step runs the event with
+    the smallest ``(time, seq)``, where ``seq`` counts every schedule."""
+
+    def __init__(self):
+        self.now, self.seq, self.events = 0, 0, []
+
+    def schedule(self, delay, fn, *args):
+        self.seq += 1
+        event = _RefEvent(self.now + delay, self.seq, fn, args)
+        self.events.append(event)
+        return event
+
+    def spawn(self, gen):
+        return _RefProcess(self, gen)
+
+    @property
+    def pending_events(self):
+        return sum(not event.cancelled for event in self.events)
+
+    def run(self, until=None):
+        while self.events:
+            event = min(self.events, key=lambda e: (e.time, e.seq))
+            if until is not None and event.time > until:
+                break
+            self.events.remove(event)
+            if not event.cancelled:
+                self.now = event.time
+                event.fn(*event.args)
+        if until is not None and self.now < until:
+            self.now = until
+
+
+class _RefProcess:
+    def __init__(self, sim, gen):
+        self.sim, self.gen, self.waiters = sim, gen, []
+        self.finished, self.value = False, None
+        sim.schedule(0, self.step, None)
+
+    def step(self, value):
+        if self.finished:
+            return
+        try:
+            command = self.gen.send(value)
+        except StopIteration as stop:
+            self.finished, self.value = True, stop.value
+            waiters, self.waiters = self.waiters, []
+            for waiter in waiters:  # joiners resume synchronously
+                waiter(stop.value)
+            return
+        if isinstance(command, WaitTrigger):
+            command.trigger.waiters.append(self.step)
+        elif isinstance(command, WaitProcess):
+            if command.process.finished:
+                self.sim.schedule(0, self.step, command.process.value)
+            else:
+                command.process.waiters.append(self.step)
+        else:
+            self.sim.schedule(getattr(command, "delay", command), self.step, None)
+
+    def join(self):
+        return (yield WaitProcess(self))
+
+
+class _RefTrigger:
+    def __init__(self, sim):
+        self.sim, self.waiters = sim, []
+
+    def fire(self, value=None):
+        waiters, self.waiters = self.waiters, []
+        for waiter in waiters:
+            self.sim.schedule(0, waiter, value)
+
+    def wait(self):
+        return (yield WaitTrigger(self))
+
+
+def _random_program(sim, make_trigger, seed):
+    """A seeded program over ``sim``'s public surface.  Every decision
+    comes from an RNG keyed by the acting event's tag, so two schedulers
+    that fire events in the same order make the same decisions."""
+    log = []
+    triggers = [make_trigger(sim) for _ in range(2)]
+    handles = {}
+    procs = []
+
+    def later(tag, delay):
+        handles[tag] = sim.schedule(delay, lambda: callback(tag))
+        return handles[tag]
+
+    def callback(tag):
+        log.append((sim.now, tag))
+        rng = random.Random(f"{seed}/{tag}")
+        for j in range(rng.randint(0, 3) if tag.count(".") < 4 else 0):
+            child = f"{tag}.{j}"
+            action = rng.random()
+            if action < 0.5:
+                event = later(child, rng.choice(_DELAYS))
+                if rng.random() < 0.25:
+                    event.cancel()
+            elif action < 0.6:
+                handles[rng.choice(sorted(handles))].cancel()
+            elif action < 0.75:
+                rng.choice(triggers).fire(child)
+            elif action < 0.9:
+                procs.append(sim.spawn(process(child)))
+            else:
+                done = [p for p in procs if p.finished]
+                if done:
+                    sim.spawn(joiner(child, rng.choice(done)))
+
+    def process(tag):
+        log.append((sim.now, tag, "start"))
+        rng = random.Random(f"{seed}/{tag}")
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.35:
+                yield rng.choice(_DELAYS)
+            elif kind < 0.55:
+                yield Timeout(rng.choice(_DELAYS))
+            elif kind < 0.85:
+                value = yield from rng.choice(triggers).wait()
+                log.append((sim.now, tag, "woke", value))
+            elif procs:
+                value = yield from rng.choice(procs).join()
+                log.append((sim.now, tag, "joined", value))
+        log.append((sim.now, tag, "end"))
+        return tag
+
+    def joiner(tag, target):
+        value = yield from target.join()
+        log.append((sim.now, tag, "joined-finished", value))
+
+    rng = random.Random(seed)
+    for i in range(6):
+        later(f"r{i}", rng.choice(_DELAYS))
+    for i in range(3):
+        procs.append(sim.spawn(process(f"p{i}")))
+    checkpoints = []
+    for until in (0, 4, 5, 12, 30):
+        sim.run(until=until)
+        checkpoints.append((sim.now, sim.pending_events))
+        later(f"u{until}", rng.choice(_DELAYS))
+        triggers[until % 2].fire(f"u{until}")
+    sim.run()
+    checkpoints.append((sim.now, sim.pending_events))
+    return log, checkpoints
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_firing_order_matches_reference_scheduler(seed):
+    got = _random_program(Simulator(), Trigger, seed)
+    want = _random_program(_RefSim(), _RefTrigger, seed)
+    assert got == want
+    assert len(got[0]) > 20
+
+
+def test_reference_program_covers_ties_cancels_and_pending():
+    """The differential program exercises what it claims to, summed
+    over its seeds: cancelled events still queued at a checkpoint,
+    finished-process joins, and same-instant ties."""
+    pending = joins = ties = 0
+    for seed in range(16):
+        log, checkpoints = _random_program(Simulator(), Trigger, seed)
+        pending += sum(count for _, count in checkpoints[:-1])
+        joins += sum(1 for entry in log if "joined-finished" in entry)
+        times = [entry[0] for entry in log]
+        ties += len(times) - len(set(times))
+    assert pending and joins and ties > 50
+
+
+# --- event-count lock --------------------------------------------------------
+
+
+class _CountingTracer(Tracer):
+    """Counts kernel events; records nothing else."""
+
+    def __init__(self):
+        super().__init__(categories=frozenset())
+        self.kernel_counts = Counter()
+
+    def kernel_event(self, what, ts, fire_at):
+        self.kernel_counts[what] += 1
+
+
+def test_kernel_event_counts_are_locked():
+    """One READ and one PROGRAM on 1 channel x 2 LUNs (waveform tier)
+    schedule, fire and cancel exactly these many kernel events.  A
+    change to the kernel's dispatch may make each event cheaper but
+    must not add, drop or merge any."""
+    sim = Simulator()
+    tracer = _CountingTracer()
+    sim.set_tracer(tracer)
+    controller = BabolController(
+        sim, ControllerConfig(lun_count=2, track_data=False))
+    controller.run_to_completion(controller.read_page(0, 1, 0, 0))
+    controller.run_to_completion(controller.program_page(1, 1, 0, 0))
+    counts = {what: tracer.kernel_counts[what]
+              for what in ("schedule", "fire", "cancel")}
+    assert counts == {"schedule": 512, "fire": 512, "cancel": 0}
