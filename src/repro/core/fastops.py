@@ -12,45 +12,40 @@ anything from it.
 This module is the TLM tier's second gear.  For operations submitted
 through the FTL-facing convenience wrappers (``controller.read_page``
 and friends), the op-IR program is checked by the compile pass
-(:func:`repro.core.opir.summarize.plan_check`) and executed as a
-*compiled plan* instead of being interpreted.  Two strategies, chosen
-per program:
+(:func:`repro.core.opir.summarize.plan_check`) and, when it is
+straight-line — transactions, handle declarations, polls, constant
+sleeps, a return, or a one-call wrapper around such a program — it is
+compiled once per cached program object into a :class:`_Template`:
+segment durations, per-action offsets, latched opcodes and address
+bytes, batched channel-stats deltas, and the closed-form software
+cost.  Executing a template is a handful of kernel events: one
+channel-mutex hold plus one ``Timeout`` per transaction, with the die
+driven by *direct calls into the same LUN action handlers* the
+waveform tier uses (``_on_command`` / ``_on_address`` / data movement)
+at their exact logical nanoseconds.  Same handlers, same order, same
+RNG draws — die state, payload bytes, status bits, fault-hook
+invocations, and array aging are identical to the waveform tier; only
+the bus-segment *objects* and the runtime's per-event machinery are
+gone.  Each poll site becomes a ready-wait: sleep to the die's next
+pending completion, then one real STATUS command and sample.
 
-* **Template execution** (the fast path).  Straight-line programs —
-  transactions, handle declarations, polls, sleeps, a return — are
-  compiled once per cached program object into a :class:`_Template`:
-  segment durations, per-action offsets, latched opcodes and address
-  bytes, batched channel-stats deltas, and the closed-form software
-  cost.  Executing a template is a handful of kernel events: one
-  channel-mutex hold plus one ``Timeout`` per transaction, with the
-  die driven by *direct calls into the same LUN action handlers* the
-  waveform tier uses (``_on_command`` / ``_on_address`` / data
-  movement) at their exact logical nanoseconds.  Same handlers, same
-  order, same RNG draws — die state, payload bytes, status bits,
-  fault-hook invocations, and array aging are identical to the
-  waveform tier; only the bus-segment *objects* and the runtime's
-  per-event machinery are gone.  Each poll site becomes a ready-wait:
-  sleep to the die's next pending completion, then one real STATUS
-  command and sample.
-
-* **Interpreted plan execution** (the fallback gear).  Programs with
-  closed but non-trivial control flow (branches, loops, callees), and
-  any op running while a bus-level observer is attached (tracer,
-  channel fault hook, bus sanitizer, unreliable PHY trim), replay the
-  IR node by node with real segments delivered inline through the
-  backend — full observability, still far cheaper than the generic
-  runtime.
+When an observer needs real bus segments — a tracer, a channel fault
+hook, or an untrimmed PHY on a data op — the template runs in
+*observed mode*: every phase and every ``Timeout`` is unchanged, but
+each transaction's segments are lowered from the instance program and
+delivered through the backend at the template's offsets, and each
+poll delivers a real status latch and data burst.  Observers see every
+segment, and the simulated nanoseconds equal the unobserved run's.
 
 Per-op software latency is therefore *modeled*, not replayed; per-LUN
 ordering, channel arbitration, die busy windows, data, and status are
 unchanged.  Operations that need exact latency (the equivalence
 harness, the logic-analyzer experiments) go through ``submit()``,
-which never takes this path.
-
-The runner refuses work it cannot replay faithfully: programs with
-data-dependent exits, gang polls, or hook predicates fall back to the
-generic path, as does the whole fast path when a watchdog or runtime
-sanitizers are attached (those observe the generic runtime's events).
+which never takes this path.  So does every program ``plan_check``
+rejects (branches, loops, data-dependent exits, gang masks, hook
+predicates), and the whole fast path stands down when a watchdog or
+runtime sanitizers are attached (those observe the generic runtime's
+events).
 """
 
 from __future__ import annotations
@@ -61,24 +56,19 @@ from typing import Generator, Optional
 from repro.core.opir.compile import compile_segment
 from repro.core.opir.interp import _mint_handle
 from repro.core.opir.nodes import (
-    Branch,
-    CallOp,
     DataXfer,
     DeclareHandle,
     EvalState,
     LatchSeq,
-    Loop,
     OpProgram,
     PollStatus,
-    Reg,
     Return,
-    SetReg,
     SoftSleep,
     Txn,
     eval_expr,
 )
 from repro.core.opir.registry import _cached_program, _resolved_builder
-from repro.core.opir.summarize import _static_kwargs, plan_check
+from repro.core.opir.summarize import plan_check, wrapper_callee
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
 from repro.core.ufsm.ca_writer import cmd
@@ -92,12 +82,6 @@ from repro.onfi.signals import (
 )
 from repro.onfi.status import StatusRegister
 from repro.sim import Timeout
-
-
-class _PlanReturn(Exception):
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
 
 
 class _PlanContext:
@@ -158,8 +142,9 @@ class _Template:
 
     Phases are tuples tagged by ``_PH_*``; transaction phases carry
     per-segment die-op lists tagged by ``_OP_*`` with offsets relative
-    to the transaction start, plus the batched channel-stats delta
-    ``(segments, busy_ns, bytes_in, bytes_out, per-kind counts)``.
+    to the transaction start, the batched channel-stats delta
+    ``(segments, busy_ns, bytes_in, bytes_out, per-kind counts)``, and
+    the index of the instance ``Txn`` node observed mode lowers.
     DMA handles are minted per run, so concurrent runs never alias a
     descriptor.
     """
@@ -220,7 +205,7 @@ class PlanExecutor:
         # shares one compiled recipe across all programs that differ
         # only in instance values.  Both bounded like the registry.
         self._templates: dict[int, tuple] = {}
-        self._tpl_shapes: dict[tuple, object] = {}
+        self._tpl_shapes: dict[tuple, _Template] = {}
         self._poll_txns: dict[int, tuple] = {}
         self._out_shim = _OutShim()
         self._in_shim = _InShim()
@@ -250,11 +235,13 @@ class PlanExecutor:
         try:
             program = _cached_program(_resolved_builder(build_name, vendor),
                                       kwargs)
+            if per_call_inline:
+                callee_name, callee_kwargs = wrapper_callee(program)
+                program = _cached_program(
+                    _resolved_builder(callee_name, vendor), callee_kwargs)
         except Exception:
             self.ops_declined += 1
             return None  # bad args: let the generic path report
-        if per_call_inline:
-            program = self._inline_wrapper(program, vendor)
         template = self._template_for(program, lun_position, label)
         self.ops_planned += 1
         task = Task(self.sim, _parked(), lun_position, priority=priority,
@@ -277,90 +264,55 @@ class PlanExecutor:
             return False
         if not plan_check(program, vendor):
             return False
-        callee = self._wrapper_callee(program)
-        if callee is not None:
-            callee_name, callee_kwargs = callee
-            try:
-                same = callee_kwargs == kwargs
-            except Exception:
-                same = False
-            if same:
-                return (callee_name, False)  # build the callee directly
-            return (op_name, True)  # collapse per call
-        return (op_name, False)
-
-    @staticmethod
-    def _wrapper_callee(program: OpProgram):
-        """(callee name, static kwargs) when ``program`` is a pure
-        one-CallOp wrapper (``full_page_read`` → ``read_page``)."""
-        nodes = program.nodes
-        if (len(nodes) == 2 and isinstance(nodes[0], CallOp)
-                and isinstance(nodes[1], Return)
-                and isinstance(nodes[1].expr, Reg)
-                and nodes[1].expr.name == nodes[0].dest):
-            kwargs = _static_kwargs(nodes[0])
-            if kwargs is not None:
-                return nodes[0].op, kwargs
-        return None
-
-    def _inline_wrapper(self, program: OpProgram, vendor) -> OpProgram:
-        """Collapse a one-CallOp wrapper to its callee program."""
-        callee = self._wrapper_callee(program)
-        if callee is not None:
-            try:
-                return _cached_program(
-                    _resolved_builder(callee[0], vendor), callee[1])
-            except Exception:
-                pass
-        return program
+        callee = wrapper_callee(program)
+        if callee is None:
+            return (op_name, False)
+        callee_name, callee_kwargs = callee
+        try:
+            same = callee_kwargs == kwargs
+        except Exception:
+            same = False
+        if same:
+            return (callee_name, False)  # build the callee directly
+        return (op_name, True)  # collapse per call
 
     # -- template compilation ------------------------------------------
 
     def _template_for(self, program: OpProgram, lun_position: int,
-                      label: str) -> Optional[_Template]:
+                      label: str) -> _Template:
         entry = self._templates.get(id(program))
         if entry is not None and entry[0] is program:
             return entry[1]
-        try:
-            fingerprint = self._fingerprint(program)
-            template = self._tpl_shapes.get(fingerprint) \
-                if fingerprint is not None else False
-            if template is None:  # new shape: compile once
-                ctx = _PlanContext(self.ufsm, 1 << lun_position,
-                                   self.packetizer,
-                                   self.channel.luns[lun_position], label)
-                template = self._compile_template(ctx, program)
-                if len(self._tpl_shapes) >= 512:
-                    self._tpl_shapes.clear()
-                self._tpl_shapes[fingerprint] = template \
-                    if template is not None else False
-        except Exception:
-            template = False
-        if template is False:
-            template = None
+        fingerprint = self._fingerprint(program)
+        template = self._tpl_shapes.get(fingerprint)
+        if template is None:  # new shape: compile once
+            ctx = _PlanContext(self.ufsm, 1 << lun_position, self.packetizer,
+                               self.channel.luns[lun_position], label)
+            template = self._compile_template(ctx, program)
+            if len(self._tpl_shapes) >= 512:
+                self._tpl_shapes.clear()
+            self._tpl_shapes[fingerprint] = template
         if len(self._templates) >= 2048:
             self._templates.clear()
         self._templates[id(program)] = (program, template)
         return template
 
     @staticmethod
-    def _fingerprint(program: OpProgram) -> Optional[tuple]:
+    def _fingerprint(program: OpProgram) -> tuple:
         """The structural identity a template depends on: everything
         that determines segment durations, action offsets, and stats —
         latch counts and command opcodes, address byte counts, burst
         sizes, timer parameters, poll and return shapes.  Instance
         values (address bytes, DRAM targets, inline payloads) are
-        deliberately excluded; the runner reads them per run.  None
-        means the program cannot be templated.
+        deliberately excluded; the runner reads them per run.  The
+        plan gate has already admitted only straight-line nodes with
+        no gang masks and constant sleeps.
         """
         parts = []
         for node in program.nodes:
             if isinstance(node, Txn):
                 seg_parts = []
                 for seg in node.segments:
-                    if getattr(seg, "chip_mask", None) is not None \
-                            or getattr(seg, "via_chip_control", False):
-                        return None  # gang segments keep real masks
                     if isinstance(seg, LatchSeq):
                         seg_parts.append(("L",) + tuple(
                             (latch.kind, latch.value) if latch.kind == "cmd"
@@ -376,26 +328,22 @@ class PlanExecutor:
             elif isinstance(node, DeclareHandle):
                 parts.append(("H", node.name, node.source, node.nbytes))
             elif isinstance(node, PollStatus):
-                if node.chip_mask is not None:
-                    return None
                 parts.append(("P", node.until, node.dest, node.max_polls))
             elif isinstance(node, SoftSleep):
-                if not isinstance(node.ns, int):
-                    return None
                 parts.append(("S", node.ns))
-            elif isinstance(node, Return):
-                parts.append(("R", node.expr))
+            else:  # Return; multi-handle reads return a (mutable) list
+                expr = node.expr
+                parts.append(("R", "list", tuple(expr))
+                             if isinstance(expr, list) else ("R", expr))
                 break
-            else:
-                return None  # Branch/Loop/CallOp/SetReg: interpreted path
         return tuple(parts)
 
     def _compile_template(self, ctx: _PlanContext,
-                          program: OpProgram) -> Optional[_Template]:
+                          program: OpProgram) -> _Template:
         """Bake one program of a fingerprint class into a template.
 
         Segments are lowered once through the real µFSM emitters — the
-        same compile the interpreted path performs per run — and only
+        same compile observed mode performs per run — and only
         their durations, action offsets, baked opcodes, and node paths
         for instance values are kept.  The fingerprint guarantees the
         result is valid for every program in the class.
@@ -471,7 +419,7 @@ class PlanExecutor:
             segs.append(tuple(ops))
             hold += segment.duration_ns
         stats = (nseg, hold, bytes_in, bytes_out, tuple(kinds.items()))
-        return (_PH_TXN, hold, stats, tuple(segs))
+        return (_PH_TXN, hold, stats, tuple(segs), node_index)
 
     def _compile_poll(self, node: PollStatus):
         latch, data, _handle = self._poll_txn(1)  # durations are mask-free
@@ -486,10 +434,26 @@ class PlanExecutor:
         return (_PH_POLL, predicate, node.dest, node.max_polls, hold,
                 cmd_off, sample_off, kinds)
 
+    def _poll_txn(self, mask: int):
+        """The status round trip for one chip mask, built once: the
+        latch, the 1-byte data segment, and its private capture handle.
+        Safe to reuse because delivery and the status read happen in
+        the same scheduler turn, and the per-LUN FIFO means at most one
+        poll per mask is in flight."""
+        cached = self._poll_txns.get(mask)
+        if cached is None:
+            handle = self.packetizer.capture(1)
+            latch = self.ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)],
+                                             chip_mask=mask)
+            data = self.ufsm.data_reader.emit(1, handle, chip_mask=mask)
+            cached = (latch, data, handle)
+            self._poll_txns[mask] = cached
+        return cached
+
     # -- template execution --------------------------------------------
 
     def _run_template(self, ctx: _PlanContext, template: _Template,
-                      program: OpProgram) -> Generator:
+                      program: OpProgram, observed: bool) -> Generator:
         state = EvalState(None)
         handles = state.handles
         nodes = program.nodes
@@ -501,28 +465,31 @@ class PlanExecutor:
         for phase in template.phases:
             tag = phase[0]
             if tag == _PH_TXN:
-                _, hold, stats, segs = phase
+                _, hold, stats, segs, node_index = phase
                 yield from channel.acquire(owner=ctx.label)
                 base = sim.now
-                try:
-                    for ops in segs:
-                        self._apply_seg(lun, ops, base, handles, nodes)
-                finally:
-                    lun._action_time = None
-                chan_stats = channel.stats
-                nseg, busy, b_in, b_out, kinds = stats
-                chan_stats.segments += nseg
-                chan_stats.busy_ns += busy
-                chan_stats.data_bytes_in += b_in
-                chan_stats.data_bytes_out += b_out
-                per_kind = chan_stats.per_kind
-                for key, count in kinds:
-                    per_kind[key] = per_kind.get(key, 0) + count
+                if observed:
+                    self._deliver_txn(ctx, nodes[node_index], state, base)
+                else:
+                    try:
+                        for ops in segs:
+                            self._apply_seg(lun, ops, base, handles, nodes)
+                    finally:
+                        lun._action_time = None
+                    chan_stats = channel.stats
+                    nseg, busy, b_in, b_out, kinds = stats
+                    chan_stats.segments += nseg
+                    chan_stats.busy_ns += busy
+                    chan_stats.data_bytes_in += b_in
+                    chan_stats.data_bytes_out += b_out
+                    per_kind = chan_stats.per_kind
+                    for key, count in kinds:
+                        per_kind[key] = per_kind.get(key, 0) + count
                 if hold:
                     yield Timeout(hold)
                 channel.release()
             elif tag == _PH_POLL:
-                yield from self._template_poll(ctx, phase, state)
+                yield from self._template_poll(ctx, phase, state, observed)
             elif tag == _PH_HANDLE:
                 node = nodes[phase[1]]
                 handles[node.name] = _mint_handle(ctx, node, state)
@@ -531,6 +498,19 @@ class PlanExecutor:
         if template.result_expr is not _NO_RESULT:
             return eval_expr(template.result_expr, state)
         return None
+
+    def _deliver_txn(self, ctx: _PlanContext, node: Txn, state: EvalState,
+                     base: int) -> None:
+        """Observed mode: lower the instance's segments and hand each to
+        the backend at its template offset, so tracer spans, fault hooks,
+        PHY trim, and channel stats see every real segment."""
+        deliver = self.backend._deliver
+        channel = self.channel
+        at = base
+        for seg_node in node.segments:
+            segment = compile_segment(ctx, seg_node, state)
+            deliver(channel, segment, at)
+            at += segment.duration_ns
 
     def _apply_seg(self, lun, ops, base: int, handles: dict, nodes) -> None:
         """Drive the die through one segment's decoded actions — the
@@ -574,8 +554,8 @@ class PlanExecutor:
             shim.dma_handle = handles[op[4]]
             lun._on_data_in(shim)
 
-    def _template_poll(self, ctx: _PlanContext, phase,
-                       state: EvalState) -> Generator:
+    def _template_poll(self, ctx: _PlanContext, phase, state: EvalState,
+                       observed: bool) -> Generator:
         _, predicate, dest, max_polls, hold, cmd_off, sample_off, kinds = phase
         lun = ctx.lun
         channel = self.channel
@@ -593,33 +573,23 @@ class PlanExecutor:
         while True:
             yield from channel.acquire(owner=ctx.label)
             base = sim.now
-            if lun._pending_completions:
-                epoch = lun._completion_seq
-                lun._run_due_completions(base + cmd_off, epoch)
-                lun._action_time = base + cmd_off
-                lun._on_command(CMD.READ_STATUS)
-                lun._run_due_completions(base + sample_off, epoch)
+            if observed:
+                # The real status latch and 1-byte burst, through the
+                # backend; the byte lands in the poll's capture handle.
+                latch, data, handle = self._poll_txn(ctx.chip_mask)
+                self.backend._deliver(channel, latch, base)
+                self.backend._deliver(channel, data,
+                                      base + latch.duration_ns)
+                status = int(handle.delivered[0])
             else:
-                lun._action_time = base + cmd_off
-                lun._on_command(CMD.READ_STATUS)
-            lun._action_time = base + sample_off
-            if lun._data_source is _DataSource.STATUS:
-                # The 1-byte status burst, minus the array and handle.
-                lun.last_status_sample_ns = base + sample_off
-                status = lun.status.value()
-            else:
-                # A completion between latch and burst re-armed the data
-                # source; sample through the real produce path so the
-                # (degenerate) byte matches inline delivery exactly.
-                status = int(lun._produce_data(1)[0])
-            lun._action_time = None
-            chan_stats = channel.stats
-            chan_stats.segments += 2
-            chan_stats.busy_ns += hold
-            chan_stats.data_bytes_out += 1
-            per_kind = chan_stats.per_kind
-            for key, count in kinds:
-                per_kind[key] = per_kind.get(key, 0) + count
+                status = self._sample_status(lun, base, cmd_off, sample_off)
+                chan_stats = channel.stats
+                chan_stats.segments += 2
+                chan_stats.busy_ns += hold
+                chan_stats.data_bytes_out += 1
+                per_kind = chan_stats.per_kind
+                for key, count in kinds:
+                    per_kind[key] = per_kind.get(key, 0) + count
             yield Timeout(hold)
             channel.release()
             polls += 1
@@ -644,6 +614,33 @@ class PlanExecutor:
             else:
                 yield Timeout(self.repoll_ns)
 
+    @staticmethod
+    def _sample_status(lun, base: int, cmd_off: int, sample_off: int) -> int:
+        """One status round trip driven straight into the die: the
+        READ STATUS latch and the 1-byte sample at their offsets, with
+        the same completion catch-up as inline delivery."""
+        if lun._pending_completions:
+            epoch = lun._completion_seq
+            lun._run_due_completions(base + cmd_off, epoch)
+            lun._action_time = base + cmd_off
+            lun._on_command(CMD.READ_STATUS)
+            lun._run_due_completions(base + sample_off, epoch)
+        else:
+            lun._action_time = base + cmd_off
+            lun._on_command(CMD.READ_STATUS)
+        lun._action_time = base + sample_off
+        if lun._data_source is _DataSource.STATUS:
+            # The 1-byte status burst, minus the array and handle.
+            lun.last_status_sample_ns = base + sample_off
+            status = lun.status.value()
+        else:
+            # A completion between latch and burst re-armed the data
+            # source; sample through the real produce path so the
+            # (degenerate) byte matches inline delivery exactly.
+            status = int(lun._produce_data(1)[0])
+        lun._action_time = None
+        return status
+
     # -- the per-LUN runner --------------------------------------------
 
     def _runner(self, lun_position: int) -> Generator:
@@ -657,27 +654,22 @@ class PlanExecutor:
                 lun = channel.luns[lun_position]
                 ctx = _PlanContext(self.ufsm, 1 << lun_position,
                                    self.packetizer, lun, task.label)
-                # Bus-level observers need real segments: hand the op to
-                # the interpreted plan path, whose deliveries route
-                # through the full backend.  Checked per op, so hooks
-                # attached mid-run take effect immediately.
-                use_template = (
-                    template is not None
-                    and self.sim._tracer is None
-                    and channel._fault_hook is None
-                    and channel._san_bus is None
-                    and (not template.has_data
-                         or not channel.interface.ddr
-                         or channel.phy.data_reliable(lun_position))
+                # Bus-level observers need real segments: run the
+                # template in observed mode, which delivers them through
+                # the backend on the same timeline.  Checked per op, so
+                # hooks attached mid-run take effect immediately.
+                observed = (
+                    self.sim._tracer is not None
+                    or channel._fault_hook is not None
+                    or (template.has_data and channel.interface.ddr
+                        and not channel.phy.data_reliable(lun_position))
                 )
+                if not observed:
+                    self.ops_templated += 1
                 result = None
                 try:
-                    if use_template:
-                        self.ops_templated += 1
-                        result = yield from self._run_template(
-                            ctx, template, program)
-                    else:
-                        result = yield from self._run_program(ctx, program)
+                    result = yield from self._run_template(
+                        ctx, template, program, observed)
                 except RecoverableOpError as exc:
                     task.error = exc
                     self.env.tasks_failed += 1
@@ -700,136 +692,6 @@ class PlanExecutor:
             )
         self.env.tasks_completed += 1
         task.completed.fire(result)
-
-    # -- interpreted plan replay ---------------------------------------
-
-    def _run_program(self, ctx: _PlanContext, program: OpProgram) -> Generator:
-        state = EvalState(None)
-        try:
-            yield from self._run_nodes(ctx, program.nodes, state)
-        except _PlanReturn as signal:
-            return signal.value
-        return None
-
-    def _run_nodes(self, ctx: _PlanContext, nodes, state: EvalState) -> Generator:
-        for node in nodes:
-            if isinstance(node, Txn):
-                yield from self._run_txn(ctx, node, state)
-            elif isinstance(node, DeclareHandle):
-                state.handles[node.name] = _mint_handle(ctx, node, state)
-            elif isinstance(node, PollStatus):
-                yield from self._wait_ready(ctx, node, state)
-            elif isinstance(node, SoftSleep):
-                ns = eval_expr(node.ns, state)
-                if ns:
-                    yield Timeout(ns)
-            elif isinstance(node, SetReg):
-                state.regs[node.name] = eval_expr(node.expr, state)
-            elif isinstance(node, Branch):
-                branch = node.then if eval_expr(node.pred, state) else node.orelse
-                yield from self._run_nodes(ctx, branch, state)
-            elif isinstance(node, Loop):
-                for index in range(node.count):
-                    state.regs[node.var] = index
-                    yield from self._run_nodes(ctx, node.body, state)
-            elif isinstance(node, CallOp):
-                kwargs = {name: eval_expr(value, state)
-                          for name, value in node.kwargs}
-                vendor = self.controller.config.vendor
-                callee = _cached_program(
-                    _resolved_builder(node.op, vendor), kwargs)
-                value = yield from self._run_program(ctx, callee)
-                if node.dest:
-                    state.regs[node.dest] = value
-            elif isinstance(node, Return):
-                raise _PlanReturn(eval_expr(node.expr, state))
-            else:  # pragma: no cover - plan_check excludes these
-                raise TypeError(
-                    f"{type(node).__name__} escaped the plan gate")
-
-    def _deliver(self, segment, at: int, lun) -> None:
-        """Deliver one plan segment: the observable effects of
-        :meth:`TLMBackend._deliver` minus the hooks that are provably
-        inactive — checked per call, so a tracer, fault injector, or
-        sanitizer attached after construction still routes every
-        segment through the full backend path."""
-        channel = self.channel
-        if (self.sim._tracer is not None or channel._fault_hook is not None
-                or channel._san_bus is not None):
-            self.backend._deliver(channel, segment, at)
-            return
-        segment.emitted_at = at
-        channel.stats.record(segment)
-        channel._apply_phy(segment, (lun.position,))
-        lun.deliver_segment_inline(segment, at)
-
-    def _run_txn(self, ctx: _PlanContext, node: Txn,
-                 state: EvalState) -> Generator:
-        segments = [compile_segment(ctx, seg, state) for seg in node.segments]
-        if self.pre_txn_ns:
-            yield Timeout(self.pre_txn_ns)
-        yield from self.channel.acquire(owner=ctx.label)
-        at = self.sim.now
-        base = at
-        for segment in segments:
-            self._deliver(segment, at, ctx.lun)
-            at += segment.duration_ns
-        if at > base:
-            yield Timeout(at - base)
-        self.channel.release()
-
-    def _poll_txn(self, mask: int):
-        """The status round trip for one chip mask, built once: the
-        latch, the 1-byte data segment, and its private capture handle.
-        Safe to reuse because delivery and the status read happen in
-        the same scheduler turn, and the per-LUN FIFO means at most one
-        poll per mask is in flight."""
-        cached = self._poll_txns.get(mask)
-        if cached is None:
-            handle = self.packetizer.capture(1)
-            latch = self.ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)],
-                                             chip_mask=mask)
-            data = self.ufsm.data_reader.emit(1, handle, chip_mask=mask)
-            cached = (latch, data, handle)
-            self._poll_txns[mask] = cached
-        return cached
-
-    def _wait_ready(self, ctx: _PlanContext, node: PollStatus,
-                    state: EvalState) -> Generator:
-        predicate = (StatusRegister.is_ready if node.until == "ready"
-                     else StatusRegister.is_array_ready)
-        lun = ctx.lun
-        latch, data, handle = self._poll_txn(ctx.chip_mask)
-        round_ns = latch.duration_ns + data.duration_ns
-        # See _template_poll for why the pre-sleep is exact.
-        end = lun.next_completion_ns()
-        now = self.sim.now
-        if end is not None and end > now:
-            yield Timeout(end - now)
-        for _ in range(node.max_polls):
-            if self.pre_txn_ns:
-                yield Timeout(self.pre_txn_ns)
-            yield from self.channel.acquire(owner=ctx.label)
-            at = self.sim.now
-            self._deliver(latch, at, lun)
-            self._deliver(data, at + latch.duration_ns, lun)
-            status = int(handle.delivered[0])
-            yield Timeout(round_ns)
-            self.channel.release()
-            if self.wakeup_ns:
-                yield Timeout(self.wakeup_ns)
-            if predicate(status):
-                if node.dest:
-                    state.regs[node.dest] = status
-                return
-            end = lun.next_completion_ns()
-            now = self.sim.now
-            if end is not None and end > now:
-                yield Timeout(end - now)
-            else:
-                yield Timeout(self.repoll_ns)
-        raise RuntimeError(
-            f"{node.until} poll budget exhausted — stuck LUN?")
 
     def describe(self) -> str:
         return (f"plan-executor: {self.ops_planned} planned "

@@ -12,14 +12,16 @@ simulator.  Loops multiply, branches take the pessimistic arm (and
 mark the summary inexact), ``CallOp`` recurses into the callee's
 program exactly as the interpreter would.
 
-The same walk answers a second question the TLM fast path needs:
-*may this program be executed as a compiled plan* (single kernel
-events per transaction, ready-waits instead of poll loops)?  A program
-is plannable when its control flow is closed — no ``BreakIf`` /
-``SelectFirstReady`` / hook predicates, no gang-masked polls — so the
-plan runner in :mod:`repro.core.fastops` can replay it without the
-generic interpreter.  :func:`plan_check` is that gate; it is cheap
-(a type walk, no µFSM emission) because it runs once per submission.
+The module answers a second question the TLM fast path needs: *may
+this program be compiled to a plan template* (single kernel events per
+transaction, ready-waits instead of poll loops)?  A program is
+plannable when it is straight-line — transactions, handle
+declarations, polls, constant sleeps, a return, with no gang masks —
+or a one-call wrapper with static arguments around such a program.
+That is exactly what :mod:`repro.core.fastops` can template, so the
+gate and the runner cannot disagree.  :func:`plan_check` is that gate
+and :func:`plan_blockers` its explanatory mode (the OPV501 source);
+both are a type walk, no µFSM emission.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from repro.core.opir.nodes import (
     Loop,
     OpProgram,
     PollStatus,
+    Reg,
     Return,
     SelectFirstReady,
-    SetReg,
     SoftSleep,
     TimerWait,
     Txn,
@@ -262,112 +264,75 @@ def summarize_op(name: str, bank, timing, vendor=None,
 
 
 # ---------------------------------------------------------------------------
-# Plannability: may the TLM fast path replay this program?
+# Plannability: may the TLM fast path compile this program to a template?
 # ---------------------------------------------------------------------------
 
-_PLAN_SAFE = (Txn, DeclareHandle, SoftSleep, SetReg, Return)
+
+def wrapper_callee(program: OpProgram):
+    """(callee name, static kwargs) when ``program`` is a pure one-CallOp
+    wrapper (``full_page_read`` -> ``read_page``), else None."""
+    nodes = program.nodes
+    if (len(nodes) == 2 and isinstance(nodes[0], CallOp)
+            and isinstance(nodes[1], Return)
+            and isinstance(nodes[1].expr, Reg)
+            and nodes[1].expr.name == nodes[0].dest):
+        kwargs = _static_kwargs(nodes[0])
+        if kwargs is not None:
+            return nodes[0].op, kwargs
+    return None
 
 
 def plan_check(program: OpProgram, vendor=None) -> bool:
-    """True when the program's control flow is closed enough for the
-    compiled-plan runner: every node type it can reach is replayable
-    and every callee resolves with static arguments."""
-    return _plan_walk(program.nodes, vendor, depth=0, prefix="nodes",
-                      out=None)
+    """True when the compiled-plan runner can template the program."""
+    return not plan_blockers(program, vendor)
 
 
 def plan_blockers(program: OpProgram,
                   vendor=None) -> list[tuple[str, str]]:
     """Every reason ``plan_check`` demotes this program, as
     ``(node path, reason)`` pairs — empty when the program is
-    plannable.  This is the explanatory mode of the same walk; the
-    verifier surfaces the pairs as OPV501 info findings."""
-    out: list[tuple[str, str]] = []
-    _plan_walk(program.nodes, vendor, depth=0, prefix="nodes", out=out)
-    return out
-
-
-def _plan_walk(nodes, vendor, depth: int, prefix: str,
-               out: "list[tuple[str, str]] | None") -> bool:
-    """Shared plannability walk.  With ``out=None`` it is the fast
-    boolean gate (stops at the first blocker); with a list it keeps
-    walking and records every ``(path, reason)`` blocker."""
+    templatable: straight-line ``Txn`` / ``DeclareHandle`` /
+    ``PollStatus`` / constant ``SoftSleep`` / ``Return`` nodes with no
+    gang masks, or a one-``CallOp`` wrapper with static arguments
+    around such a program.  The verifier surfaces the pairs as OPV501
+    info findings."""
     from repro.core.opir.registry import _cached_program, _resolved_builder
 
-    ok = True
+    callee = wrapper_callee(program)
+    if callee is None:
+        return _straight_line_blockers(program.nodes, "nodes")
+    name, kwargs = callee
+    try:
+        callee_program = _cached_program(_resolved_builder(name, vendor),
+                                         kwargs)
+    except Exception as exc:
+        return [("nodes[0]", f"callee {name!r} failed to build: {exc}")]
+    return _straight_line_blockers(callee_program.nodes, f"nodes[0].{name}")
 
-    def blocked(path: str, reason: str) -> bool:
-        nonlocal ok
-        ok = False
-        if out is not None:
-            out.append((path, reason))
-        return out is not None  # keep walking only in explain mode
 
+def _straight_line_blockers(nodes, prefix: str) -> list[tuple[str, str]]:
+    out = []
     for index, node in enumerate(nodes):
         path = f"{prefix}[{index}]"
-        if isinstance(node, (BreakIf, SelectFirstReady)):
-            kind = type(node).__name__
-            if not blocked(path, f"{kind} is a data-dependent exit the "
-                                 f"plan runner cannot replay"):
-                return False
-        elif isinstance(node, Txn):
+        if isinstance(node, Txn):
             for seg_index, seg in enumerate(node.segments):
-                # The plan runner delivers to the op's single target
-                # die; segments that re-mask or gang via Chip Control
-                # stay on the exact path.
+                # The template drives the op's single target die;
+                # segments that re-mask or gang via Chip Control stay
+                # on the exact path.
                 if getattr(seg, "chip_mask", None) is not None \
                         or getattr(seg, "via_chip_control", False):
-                    where = f"{path}.segments[{seg_index}]"
-                    if not blocked(where, "segment re-targets dies "
-                                          "(chip_mask / Chip Control)"):
-                        return False
+                    out.append((f"{path}.segments[{seg_index}]",
+                                "segment re-targets dies "
+                                "(chip_mask / Chip Control)"))
         elif isinstance(node, PollStatus):
             if node.chip_mask is not None:
-                if not blocked(path, "gang-masked poll stays on the "
-                                     "exact path"):
-                    return False
-        elif isinstance(node, Branch):
-            then_ok = _plan_walk(node.then, vendor, depth,
-                                 f"{path}.then", out)
-            else_ok = _plan_walk(node.orelse, vendor, depth,
-                                 f"{path}.orelse", out)
-            if not (then_ok and else_ok):
-                ok = False
-                if out is None:
-                    return False
-        elif isinstance(node, Loop):
-            if not _plan_walk(node.body, vendor, depth,
-                              f"{path}.body", out):
-                ok = False
-                if out is None:
-                    return False
-        elif isinstance(node, CallOp):
-            if depth >= 8:
-                if not blocked(path, "call depth exceeds the plan "
-                                     "compiler's limit (8)"):
-                    return False
-                continue
-            kwargs = _static_kwargs(node)
-            if kwargs is None:
-                if not blocked(path, f"callee {node.op!r} takes "
-                                     f"runtime-computed arguments"):
-                    return False
-                continue
-            try:
-                builder = _resolved_builder(node.op, vendor)
-                callee = _cached_program(builder, kwargs)
-            except Exception as exc:
-                if not blocked(path, f"callee {node.op!r} failed to "
-                                     f"build: {exc}"):
-                    return False
-                continue
-            if not _plan_walk(callee.nodes, vendor, depth + 1,
-                              f"{path}.{node.op}", out):
-                ok = False
-                if out is None:
-                    return False
-        elif not isinstance(node, _PLAN_SAFE):
-            if not blocked(path, f"{type(node).__name__} has no plan "
-                                 f"lowering"):
-                return False
-    return ok
+                out.append((path, "gang-masked poll stays on the exact path"))
+        elif isinstance(node, SoftSleep):
+            if not isinstance(node.ns, int):
+                out.append((path, "sleep length is computed at run time"))
+        elif isinstance(node, Return):
+            break
+        elif not isinstance(node, DeclareHandle):
+            out.append((path, f"{type(node).__name__} is not straight-line "
+                              f"code the plan template can replay"))
+    return out

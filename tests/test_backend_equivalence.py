@@ -284,14 +284,17 @@ def test_tlm_matches_waveform_on_hw_baselines(kind):
 
 
 def _scale_state(fidelity: str, track_data: bool = True):
-    from repro.host import ScaleEngine, ScaleJob, build_scale_stack, \
-        run_scale_workload
+    from repro.config import build_stack
+    from repro.config.specs import FtlSpec, StackSpec
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
     from repro.host.hic import HostOpcode
 
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=2, luns_per_channel=2, vendor=TEST_PROFILE,
-        track_data=track_data, fidelity=fidelity,
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2,
+                       track_data=track_data, fidelity=fidelity,
+                       ftl=FtlSpec()),
+        profile=TEST_PROFILE,
     )
     engine = ScaleEngine(sim, ftl, queue_depth=8)
     run_scale_workload(sim, engine, ScaleJob(
@@ -324,13 +327,15 @@ def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
 
 
 def test_scale_stack_uses_the_plan_executor_under_tlm():
-    from repro.host import ScaleEngine, ScaleJob, build_scale_stack, \
-        run_scale_workload
+    from repro.config import build_stack
+    from repro.config.specs import FtlSpec, StackSpec
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=1, luns_per_channel=2, vendor=TEST_PROFILE,
-        fidelity="tlm",
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=1, luns_per_channel=2, fidelity="tlm",
+                       ftl=FtlSpec()),
+        profile=TEST_PROFILE,
     )
     engine = ScaleEngine(sim, ftl, queue_depth=4)
     run_scale_workload(sim, engine, ScaleJob(io_count=16))
@@ -381,11 +386,14 @@ def test_timing_summary_matches_measured_channel_occupancy():
 def test_sharded_health_aggregation_with_one_empty_shard():
     """Retirements on one shard only: the empty shard must contribute
     nothing (and not break) the array-wide aggregation."""
-    from repro.host import build_scale_stack
+    from repro.config import build_stack
+    from repro.config.specs import FtlSpec, StackSpec
 
     sim = Simulator()
-    _, ftl = build_scale_stack(sim, channels=2, luns_per_channel=2,
-                               vendor=TEST_PROFILE, prefill_pages=0)
+    _, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2,
+                       ftl=FtlSpec(prefill_pages=0)),
+        profile=TEST_PROFILE)
     ftl.shards[0]._retire_block(1, 3, "test")
     ftl.shards[0]._retire_block(0, 4, "test")
 

@@ -1,91 +1,13 @@
-"""Unit tests for the ECC engines (real Hamming + behavioural BCH)."""
+"""Unit tests for the behavioural BCH engine and bit-error counting."""
 
 import numpy as np
 import pytest
 
-from repro.ecc import (
-    BchConfig,
-    BchEngine,
-    HammingCodec,
-    SectorCodec,
-    count_bit_errors,
-)
+from repro.ecc import BchConfig, BchEngine, count_bit_errors
 
 
 def flip_bit(data: np.ndarray, bit: int) -> None:
     data[bit // 8] ^= 1 << (bit % 8)
-
-
-# --- Hamming ---------------------------------------------------------------
-
-
-def test_hamming_clean_roundtrip():
-    codec = HammingCodec()
-    data = np.arange(64, dtype=np.uint8)
-    parity = codec.encode(data)
-    fixed, corrected, bad = codec.decode(data.copy(), parity)
-    np.testing.assert_array_equal(fixed, data)
-    assert corrected == 0 and bad == 0
-
-
-def test_hamming_corrects_single_bit_anywhere():
-    codec = HammingCodec()
-    rng = np.random.default_rng(1)
-    data = rng.integers(0, 256, 64, dtype=np.uint8)
-    parity = codec.encode(data)
-    for bit in [0, 7, 63, 64, 200, 511]:
-        corrupted = data.copy()
-        flip_bit(corrupted, bit)
-        fixed, corrected, bad = codec.decode(corrupted, parity)
-        np.testing.assert_array_equal(fixed, data)
-        assert corrected == 1 and bad == 0
-
-
-def test_hamming_detects_double_bit_in_one_word():
-    codec = HammingCodec()
-    data = np.zeros(8, dtype=np.uint8)  # single 64-bit word
-    parity = codec.encode(data)
-    corrupted = data.copy()
-    flip_bit(corrupted, 3)
-    flip_bit(corrupted, 17)
-    _, corrected, bad = codec.decode(corrupted, parity)
-    assert bad == 1 and corrected == 0
-
-
-def test_hamming_corrects_spread_multi_bit():
-    """One flip per 64-bit word: all correctable despite 8 total errors."""
-    codec = HammingCodec()
-    data = np.zeros(64, dtype=np.uint8)  # 8 words
-    parity = codec.encode(data)
-    corrupted = data.copy()
-    for word in range(8):
-        flip_bit(corrupted, word * 64 + word * 3)
-    fixed, corrected, bad = codec.decode(corrupted, parity)
-    np.testing.assert_array_equal(fixed, data)
-    assert corrected == 8 and bad == 0
-
-
-def test_hamming_rejects_unaligned_length():
-    with pytest.raises(ValueError):
-        HammingCodec().encode(np.zeros(7, dtype=np.uint8))
-
-
-def test_sector_codec_parity_overhead():
-    codec = SectorCodec()
-    assert codec.parity_size(512) == 64
-    with pytest.raises(ValueError):
-        codec.parity_size(513)
-
-
-def test_sector_codec_reports_ok_flag():
-    codec = SectorCodec()
-    data = np.arange(512, dtype=np.uint8)
-    parity = codec.encode(data)
-    corrupted = data.copy()
-    flip_bit(corrupted, 1000)
-    fixed, ok, corrected = codec.decode(corrupted, parity)
-    assert ok and corrected == 1
-    np.testing.assert_array_equal(fixed, data)
 
 
 # --- bit-error counting ----------------------------------------------------

@@ -25,12 +25,14 @@ from tests.helpers import TEST_PROFILE
 PAGE_BYTES = TEST_PROFILE.geometry.full_page_size
 
 
-def make_controller(lun_count=2, track_data=False, seed=7):
+def make_controller(lun_count=2, track_data=False, seed=7,
+                    fidelity="waveform"):
     sim = Simulator()
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
-                         runtime="rtos", track_data=track_data, seed=seed),
+                         runtime="rtos", track_data=track_data, seed=seed,
+                         fidelity=fidelity),
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
@@ -207,8 +209,10 @@ def test_feature_drop_silently_ignores_set_features():
     assert tuple(readback) == (5, 0, 0, 0)
 
 
-def test_transfer_corrupt_garbles_read_data_only():
-    sim, controller = make_controller(track_data=True)
+def _transfer_corrupt_reads(fidelity):
+    """(programmed, first read, second read) DRAM bytes under a one-shot
+    read-burst corruption."""
+    sim, controller = make_controller(track_data=True, fidelity=fidelity)
     injector = FaultInjector(campaign_of(
         FaultSpec(kind=FaultKind.TRANSFER_CORRUPT, lun=0, count=1,
                   direction="out")))
@@ -217,11 +221,21 @@ def test_transfer_corrupt_garbles_read_data_only():
     assert ok is True            # "out" direction: the program burst is safe
     controller.run_to_completion(controller.read_page(0, 1, 0, 100_000))
     garbled = controller.dram.read(100_000, PAGE_BYTES)
-    assert not np.array_equal(garbled, data)
-    # Second read is clean: the fault fired once.
     controller.run_to_completion(controller.read_page(0, 1, 0, 100_000))
     clean = controller.dram.read(100_000, PAGE_BYTES)
+    return data, garbled, clean
+
+
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_transfer_corrupt_garbles_read_data_only(fidelity):
+    data, garbled, clean = _transfer_corrupt_reads(fidelity)
+    assert not np.array_equal(garbled, data)
+    # Second read is clean: the fault fired once.
     np.testing.assert_array_equal(clean, data)
+    # The TLM plan path hands the fault hook the same bursts, so both
+    # tiers garble the same bytes.
+    np.testing.assert_array_equal(
+        garbled, _transfer_corrupt_reads("waveform")[1])
 
 
 def test_detach_restores_nullable_hooks():

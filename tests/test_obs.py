@@ -10,6 +10,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -157,6 +158,57 @@ def test_disabled_tracer_identical_results():
     statuses_off = [r[0] if isinstance(r, tuple) else r for r in results_off]
     statuses_on = [r[0] if isinstance(r, tuple) else r for r in results_on]
     assert statuses_off == statuses_on
+
+
+def run_tlm_scale_workload(tracer=None):
+    """2 ch x 4 LUN TLM array at QD16: 96 random writes, then 96 random
+    reads, all through the compiled-plan path."""
+    from repro.config import build_stack
+    from repro.config.specs import FtlSpec, StackSpec
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
+    from repro.host.hic import HostOpcode
+
+    from tests.helpers import TEST_PROFILE
+
+    sim = Simulator()
+    if tracer is not None:
+        sim.set_tracer(tracer)
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=4, fidelity="tlm",
+                       track_data=True, ftl=FtlSpec()),
+        profile=TEST_PROFILE)
+    engine = ScaleEngine(sim, ftl, queue_depth=16)
+    phase_ends = []
+    for opcode, seed in ((HostOpcode.WRITE, 11), (HostOpcode.READ, 12)):
+        run_scale_workload(sim, engine, ScaleJob(
+            pattern="random", opcode=opcode, io_count=96, seed=seed))
+        phase_ends.append(sim.now)
+    latencies = [(c.cid, c.latency_ns)
+                 for pair in engine.pairs for c in pair.completions]
+    stats = [(s.segments, s.busy_ns, s.data_bytes_in, s.data_bytes_out,
+              dict(s.per_kind))
+             for s in (c.channel.stats for c in controllers)]
+    dram = [hashlib.sha256(c.dram.data.tobytes()).hexdigest()
+            for c in controllers]
+    return {"phase_ends": phase_ends, "latencies": latencies,
+            "stats": stats, "health": ftl.health_summary(), "dram": dram}
+
+
+def test_tracer_does_not_move_tlm_time():
+    """A traced TLM run is the same run: the plan executor's observed
+    mode charges exactly the template's time, so every phase end,
+    command latency, bus counter, FTL state and payload byte matches
+    the untraced run — and the trace shows every bus segment."""
+    plain = run_tlm_scale_workload()
+    tracer = Tracer()
+    traced = run_tlm_scale_workload(tracer)
+    assert traced["phase_ends"] == plain["phase_ends"]
+    assert traced["latencies"] == plain["latencies"]
+    assert traced["stats"] == plain["stats"]
+    assert traced["health"] == plain["health"]
+    assert traced["dram"] == plain["dram"]
+    channel_spans = sum(1 for e in tracer.events if e.cat == "channel")
+    assert channel_spans == sum(s[0] for s in plain["stats"])
 
 
 def test_disabled_fast_path_overhead_is_small():

@@ -532,6 +532,34 @@ def test_plan_blockers_matches_plan_check_across_library():
             assert plan_check(program, vendor) == (not blockers), name
 
 
+def test_plan_check_holds_exactly_when_plan_executor_templates():
+    """One plannability rule: the gate admits an op exactly when the
+    TLM plan executor accepts it and compiles a template for it."""
+    from repro.core import BabolController, ControllerConfig
+    from repro.core.fastops import _Template
+    from repro.sim import Simulator
+
+    for vendor in VENDOR_PROFILES.values():
+        controller = BabolController(Simulator(), ControllerConfig(
+            vendor=vendor, lun_count=1, fidelity="tlm"))
+        fast = controller.fast_ops
+        for name, kwargs in sample_kwargs(vendor).items():
+            program = resolve_builder(name, vendor)(**kwargs)
+            task = fast.try_submit(name, 0, 1, name, dict(kwargs))
+            templated = task is not None and isinstance(
+                fast._queues[0][-1][2], _Template)
+            assert plan_check(program, vendor) == templated, \
+                (vendor.name, name)
+
+
+def test_opv501_explains_untemplatable_ops():
+    for name in ("cache_program", "erase_with_preemptive_read"):
+        kwargs = sample_kwargs(TEST_PROFILE)[name]
+        builder = resolve_builder(name, TEST_PROFILE)
+        findings = verify_program(builder(**kwargs), TEST_PROFILE, mode=MODE)
+        assert any(f.rule == "OPV501" for f in findings), name
+
+
 def test_plan_blockers_read_page_empty_gang_read_not():
     samples = sample_kwargs(TEST_PROFILE)
     read_page = resolve_builder("read_page", TEST_PROFILE)(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ecc import BchConfig, BchEngine, HammingCodec, count_bit_errors
+from repro.ecc import BchConfig, BchEngine, count_bit_errors
 from repro.flash.cell import CellMode
 from repro.flash.errors import ErrorModel
 from repro.flash.param_page import build_parameter_page, crc16_onfi, parse_parameter_page
@@ -58,55 +58,6 @@ def test_row_roundtrip(row):
 @given(addresses)
 def test_plane_matches_block_parity(addr):
     assert CODEC.plane_of(addr) == addr.block % GEOMETRY.planes
-
-
-# --- Hamming SEC-DED ---------------------------------------------------------
-
-
-@given(st.binary(min_size=8, max_size=256).filter(lambda b: len(b) % 8 == 0))
-def test_hamming_clean_decode_is_identity(payload):
-    codec = HammingCodec()
-    data = np.frombuffer(payload, dtype=np.uint8).copy()
-    parity = codec.encode(data)
-    fixed, corrected, bad = codec.decode(data.copy(), parity)
-    np.testing.assert_array_equal(fixed, data)
-    assert corrected == 0 and bad == 0
-
-
-@given(
-    st.binary(min_size=8, max_size=128).filter(lambda b: len(b) % 8 == 0),
-    st.data(),
-)
-def test_hamming_corrects_any_single_flip(payload, data):
-    codec = HammingCodec()
-    original = np.frombuffer(payload, dtype=np.uint8).copy()
-    parity = codec.encode(original)
-    bit = data.draw(st.integers(0, len(original) * 8 - 1))
-    corrupted = original.copy()
-    corrupted[bit // 8] ^= 1 << (bit % 8)
-    fixed, corrected, bad = codec.decode(corrupted, parity)
-    np.testing.assert_array_equal(fixed, original)
-    assert corrected == 1 and bad == 0
-
-
-@given(
-    st.binary(min_size=8, max_size=64).filter(lambda b: len(b) % 8 == 0),
-    st.data(),
-)
-def test_hamming_never_miscorrects_double_flip_in_word(payload, data):
-    """Two flips in one 64-bit word: must be flagged, never silently
-    'corrected' into different data being reported clean."""
-    codec = HammingCodec()
-    original = np.frombuffer(payload, dtype=np.uint8).copy()
-    parity = codec.encode(original)
-    word = data.draw(st.integers(0, len(original) // 8 - 1))
-    b1 = data.draw(st.integers(0, 63))
-    b2 = data.draw(st.integers(0, 63).filter(lambda x: x != b1))
-    corrupted = original.copy()
-    for bit in (word * 64 + b1, word * 64 + b2):
-        corrupted[bit // 8] ^= 1 << (bit % 8)
-    _, corrected, bad = codec.decode(corrupted, parity)
-    assert bad == 1 and corrected == 0
 
 
 # --- bit-error counting / behavioural BCH ------------------------------------

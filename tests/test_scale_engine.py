@@ -13,7 +13,6 @@ from repro.host import (
     ScaleCommand,
     ScaleEngine,
     ScaleJob,
-    build_scale_stack,
     run_scale_workload,
 )
 from repro.host.hic import HostOpcode
@@ -256,11 +255,18 @@ def test_engine_accepts_plain_page_mapped_ftl():
     assert result.commands == 12
 
 
-def test_build_scale_stack_constructs_working_array():
+def test_build_stack_constructs_working_array():
+    from repro.config import build_stack
+    from repro.config.specs import FtlSpec, StackSpec
+
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=2, luns_per_channel=2, vendor=TEST_PROFILE,
-        ftl_config=FTL_CONFIG, prefill_pages=16)
+    ftl_spec = FtlSpec(blocks_per_lun=FTL_CONFIG.blocks_per_lun,
+                       overprovision_blocks=FTL_CONFIG.overprovision_blocks,
+                       gc_staging_base=FTL_CONFIG.gc_staging_base,
+                       prefill_pages=16)
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2, ftl=ftl_spec),
+        profile=TEST_PROFILE)
     assert len(controllers) == 2
     assert isinstance(ftl, ShardedFtl)
     assert ftl.mapped_count == 16
