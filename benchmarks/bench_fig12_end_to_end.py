@@ -8,7 +8,7 @@ stock controller, BABOL-Coroutine within 8% / 9%.
 
 Here the stock Cosmos+ controller is the asynchronous hardware
 baseline; all three controllers run under an identical FTL + host
-stack, prefilled with data, driven by the fio-like generator.
+stack, prefilled with data, driven closed-loop through the host engine.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.core import BabolController, ControllerConfig
 from repro.core.softenv import GHZ
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import FioJob, HostInterface, run_fio
+from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 from repro.onfi import NVDDR2_200
 from repro.sim import Simulator
 
@@ -48,17 +48,17 @@ def build_stack(kind: str, ways: int):
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=48 * 1024 * 1024),
     )
-    hic = HostInterface(sim, ftl, iodepth=IODEPTH)
-    return sim, controller, ftl, hic
+    engine = ScaleEngine(sim, ftl, queue_depth=IODEPTH)
+    return sim, controller, ftl, engine
 
 
 def bandwidth(kind: str, ways: int, pattern: str) -> float:
-    sim, controller, ftl, hic = build_stack(kind, ways)
+    sim, controller, ftl, engine = build_stack(kind, ways)
     working_set = min(ftl.logical_pages, 64 * ways)
     ftl.prefill(working_set)
-    job = FioJob(pattern=pattern, io_count=24 * ways + 16, iodepth=IODEPTH, seed=9)
-    result = run_fio(sim, hic, job)
-    return result.bandwidth_mb_s
+    job = ScaleJob(pattern=pattern, io_count=24 * ways + 16, seed=9)
+    result = run_scale_workload(sim, engine, job)
+    return result.throughput_mb_s
 
 
 def run_experiment():

@@ -1,6 +1,6 @@
 """A complete SSD: host queue -> FTL -> BABOL -> simulated flash.
 
-Assembles the full Fig. 1 stack — a queue-depth-limited host interface,
+Assembles the full Fig. 1 stack — a queue-depth-limited host queue pair,
 a page-mapped FTL with greedy GC, and a BABOL channel controller — then
 runs a write-heavy phase (to provoke garbage collection) followed by
 fio-style sequential and random read phases, reporting bandwidth,
@@ -13,7 +13,7 @@ from repro import BabolController, ControllerConfig, Simulator
 from repro.core.softenv import GHZ
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import FioJob, HostCommand, HostInterface, run_fio
+from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 from repro.host.hic import HostOpcode
 
 
@@ -29,7 +29,7 @@ def main() -> None:
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=48 * 1024 * 1024),
     )
-    hic = HostInterface(sim, ftl, iodepth=16)
+    engine = ScaleEngine(sim, ftl, queue_depth=16)
     print(f"SSD: {controller.describe()}")
     print(f"     {ftl.logical_pages} logical pages "
           f"({ftl.logical_pages * ftl.page_size >> 20} MiB exported)\n")
@@ -37,10 +37,9 @@ def main() -> None:
     # Phase 1: fill, then overwrite a hot range to trigger GC.
     ftl.prefill(ftl.logical_pages * 3 // 4)
     hot_span = ftl.logical_pages // 8
-    for i in range(hot_span * 3):
-        hic.submit(HostCommand(opcode=HostOpcode.WRITE, lpn=i % hot_span,
-                               dram_address=0))
-    sim.run_process(hic.drain())
+    run_scale_workload(sim, engine, ScaleJob(
+        pattern="sequential", opcode=HostOpcode.WRITE, io_count=hot_span * 3,
+        working_set_pages=hot_span))
     print("phase 1: hot-range overwrite")
     print(f"  host writes            : {ftl.host_writes}")
     print(f"  GC runs / page moves   : {ftl.gc_runs} / {ftl.gc_page_moves}")
@@ -49,10 +48,10 @@ def main() -> None:
 
     # Phase 2: fio-style read workloads (the Fig. 12 shape).
     for pattern in ("sequential", "random"):
-        result = run_fio(sim, hic, FioJob(pattern=pattern, io_count=160,
-                                          iodepth=16, seed=3))
+        result = run_scale_workload(sim, engine, ScaleJob(
+            pattern=pattern, io_count=160, seed=3))
         print(f"phase 2: fio {pattern} read")
-        print(f"  bandwidth : {result.bandwidth_mb_s:7.1f} MB/s "
+        print(f"  bandwidth : {result.throughput_mb_s:7.1f} MB/s "
               f"({result.iops:,.0f} IOPS)")
         print(f"  latency   : mean {result.mean_latency_ns / 1000:6.1f} us, "
               f"p99 {result.p99_latency_ns / 1000:6.1f} us\n")

@@ -13,16 +13,17 @@ import numpy as np
 from repro import BabolController, ControllerConfig, Simulator
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
+from repro.host import ScaleEngine
 from repro.host.nvme import NvmeCommand, NvmeController, NvmeOpcode
 
 BLOCK = 4096
 
 
-def run_command(sim, qp, command):
-    cid = qp.submit(command)
+def run_command(sim, nvme, command):
+    cid = nvme.submit(command)
 
     def waiter():
-        entry = yield from qp.wait_completion(cid)
+        entry = yield from nvme.wait_completion(cid)
         return entry
 
     start = sim.now
@@ -42,8 +43,8 @@ def main() -> None:
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=48 * 1024 * 1024),
     )
-    nvme = NvmeController(sim, ftl, block_size=BLOCK)
-    qp = nvme.create_queue_pair(depth=16)
+    nvme = NvmeController(sim, ScaleEngine(sim, ftl, queue_depth=16),
+                          block_size=BLOCK)
 
     info = nvme.identify()
     print(f"namespace: {info['model']}, {info['capacity_blocks']} x "
@@ -53,20 +54,20 @@ def main() -> None:
     # Full-page-aligned write: 4 blocks = one 16 KiB page, no RMW.
     payload = np.tile(np.arange(256, dtype=np.uint8), BLOCK * 4 // 256)
     controller.dram.write(0, payload)
-    entry, us = run_command(sim, qp, NvmeCommand(
+    entry, us = run_command(sim, nvme, NvmeCommand(
         NvmeOpcode.WRITE, slba=0, block_count=4, prp=0))
     print(f"aligned 16K write : {us:8.1f} us  (RMW so far: {nvme.rmw_count})")
 
     # Sub-page write: one 4 KiB block → read-modify-write.
     patch = np.full(BLOCK, 0x77, dtype=np.uint8)
     controller.dram.write(200_000, patch)
-    entry, us = run_command(sim, qp, NvmeCommand(
+    entry, us = run_command(sim, nvme, NvmeCommand(
         NvmeOpcode.WRITE, slba=1, block_count=1, prp=200_000))
     print(f"sub-page 4K write : {us:8.1f} us  (RMW so far: {nvme.rmw_count}) "
           f"<- page read + program")
 
     # Read it all back and verify the merge.
-    entry, us = run_command(sim, qp, NvmeCommand(
+    entry, us = run_command(sim, nvme, NvmeCommand(
         NvmeOpcode.READ, slba=0, block_count=4, prp=400_000))
     merged = controller.dram.read(400_000, 4 * BLOCK)
     expected = payload.copy()
@@ -82,8 +83,8 @@ def main() -> None:
           f"({raw_errors} raw byte errors awaiting ECC)")
 
     # Trim and confirm deallocated blocks read zero.
-    run_command(sim, qp, NvmeCommand(NvmeOpcode.DSM, slba=0, block_count=4))
-    entry, us = run_command(sim, qp, NvmeCommand(
+    run_command(sim, nvme, NvmeCommand(NvmeOpcode.DSM, slba=0, block_count=4))
+    entry, us = run_command(sim, nvme, NvmeCommand(
         NvmeOpcode.READ, slba=0, block_count=1, prp=400_000))
     zeroed = bool((controller.dram.read(400_000, BLOCK) == 0).all())
     print(f"read after trim   : {us:8.1f} us  zero-filled: {zeroed}")

@@ -12,7 +12,7 @@ Run: ``python examples/trace_replay.py``
 from repro import BabolController, ControllerConfig, Simulator
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import HostInterface, Trace, replay_trace, synthesize_trace
+from repro.host import ScaleEngine, Trace, replay_trace, synthesize_trace
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=48 * 1024 * 1024),
     )
-    hic = HostInterface(sim, ftl, iodepth=16)
+    engine = ScaleEngine(sim, ftl, queue_depth=16)
     working_set = ftl.logical_pages // 4
     ftl.prefill(working_set)
 
@@ -51,7 +51,7 @@ def main() -> None:
     assert reloaded.records == trace.records
     print(f"serialized to {len(text.splitlines())} lines and reloaded\n")
 
-    result = replay_trace(sim, hic, reloaded)
+    result = replay_trace(sim, engine, reloaded)
     print("replay results:")
     print(f"  I/Os completed : {result.ios} "
           f"({result.reads} reads / {result.writes} writes)")

@@ -177,46 +177,50 @@ def cmd_fig11(args) -> int:
     return 0
 
 
-def cmd_fig12(args) -> int:
+def fig12_cell(spec, kind: str, ways: int, tracer=None):
+    """One Fig. 12 cell: ``kind`` ("cosmos", "rtos" or "coroutine") at
+    ``ways`` LUNs, prefilled, driven closed-loop at the spec's queue
+    depth.  Returns the :class:`~repro.host.engine.ScaleRunResult`."""
     import dataclasses
 
     from repro.baselines import AsyncHwController
     from repro.config.build import build_controllers, stack_profile
     from repro.ftl import PageMappedFtl
-    from repro.host import FioJob, HostInterface, run_fio
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 
+    sim = Simulator()
+    if tracer is not None:
+        tracer.scope = f"{kind}@{ways}way"
+        sim.set_tracer(tracer)
+    if kind == "cosmos":
+        controller = AsyncHwController(
+            sim, vendor=stack_profile(spec.stack), lun_count=ways,
+            track_data=False,
+        )
+    else:
+        cell = dataclasses.replace(spec.stack, runtime=kind,
+                                   luns_per_channel=ways)
+        controller = build_controllers(sim, cell)[0]
+    ftl = PageMappedFtl(sim, controller, spec.stack.ftl.to_ftl_config())
+    ftl.prefill(min(ftl.logical_pages, 64 * ways))
+    engine = ScaleEngine(sim, ftl, queue_depth=spec.workload.queue_depth,
+                         doorbell_batch=spec.workload.doorbell_batch)
+    return run_scale_workload(sim, engine, ScaleJob(
+        pattern=spec.workload.pattern, io_count=24 * ways + 16))
+
+
+def cmd_fig12(args) -> int:
     spec = resolve_spec(args, FIG12_BASE, flags=(
         ("vendor", "stack.vendor"),
         ("pattern", "workload.pattern"),
     ))
-    vendor = stack_profile(spec.stack)
-    iodepth = spec.workload.queue_depth
     rows = []
     tracer = make_tracer(args)
     for ways in args.ways:
-        bandwidths = []
-        for kind in ("cosmos", "rtos", "coroutine"):
-            sim = Simulator()
-            if tracer is not None:
-                tracer.scope = f"{kind}@{ways}way"
-                sim.set_tracer(tracer)
-            if kind == "cosmos":
-                controller = AsyncHwController(
-                    sim, vendor=vendor, lun_count=ways, track_data=False
-                )
-            else:
-                cell = dataclasses.replace(spec.stack, runtime=kind,
-                                           luns_per_channel=ways)
-                controller = build_controllers(sim, cell)[0]
-            ftl = PageMappedFtl(sim, controller,
-                                spec.stack.ftl.to_ftl_config())
-            ftl.prefill(min(ftl.logical_pages, 64 * ways))
-            hic = HostInterface(sim, ftl, iodepth=iodepth)
-            result = run_fio(sim, hic,
-                             FioJob(pattern=spec.workload.pattern,
-                                    io_count=24 * ways + 16,
-                                    iodepth=iodepth))
-            bandwidths.append(result.bandwidth_mb_s)
+        bandwidths = [
+            fig12_cell(spec, kind, ways, tracer).throughput_mb_s
+            for kind in ("cosmos", "rtos", "coroutine")
+        ]
         rows.append([str(ways)] + [f"{bw:.1f}" for bw in bandwidths])
     print(f"Fig. 12: fio {spec.workload.pattern} read bandwidth (MB/s)")
     print_rows(["ways", "Cosmos+ (HW)", "BABOL-RTOS", "BABOL-Coro"], rows)

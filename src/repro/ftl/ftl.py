@@ -224,8 +224,8 @@ class PageMappedFtl:
         info.write_ptr += 1
         info.inflight += 1
         if info.is_full:
-            # Rotate at *allocation* time: concurrent writers (the HIC
-            # runs several workers) must never be handed page indexes
+            # Rotate at *allocation* time: concurrent writers (a queue pair
+            # runs one worker per slot) must never be handed page indexes
             # beyond the block.
             self._close_active(lun)
         if persist is not None:
@@ -381,7 +381,7 @@ class PageMappedFtl:
                     continue
                 raise FtlError(f"LUN {lun} has no reclaimable blocks")
             # Claim the victim *before* yielding so concurrent writers
-            # (HIC workers share LUNs) cannot collect it twice.
+            # (queue-pair workers share LUNs) cannot collect it twice.
             self._closed[lun].remove(victim)
             self._gc_inflight[lun] = self._gc_inflight.get(lun, 0) + 1
             try:

@@ -1,5 +1,6 @@
-"""Host-side substrate: command queue, workload generators, fio-like driver,
-and the queue-depth scale-out engine."""
+"""Host-side substrate: the queue-depth engine every host feeder drives
+(closed-loop jobs, trace replay, the NVMe command layer) and the
+controller-level READ injector."""
 
 from repro.host.engine import (
     ChannelQueuePair,
@@ -10,9 +11,7 @@ from repro.host.engine import (
     ScaleRunResult,
     run_scale_workload,
 )
-from repro.host.hic import HostCommand, HostInterface
 from repro.host.workload import ReadWorkloadResult, measure_read_throughput
-from repro.host.fio import FioJob, FioResult, run_fio
 from repro.host.trace import (
     ReplayResult,
     Trace,
@@ -29,13 +28,8 @@ __all__ = [
     "ScaleJob",
     "ScaleRunResult",
     "run_scale_workload",
-    "HostCommand",
-    "HostInterface",
     "ReadWorkloadResult",
     "measure_read_throughput",
-    "FioJob",
-    "FioResult",
-    "run_fio",
     "ReplayResult",
     "Trace",
     "TraceRecord",

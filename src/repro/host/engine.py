@@ -15,6 +15,10 @@ what a real NVMe host does against a multi-channel array:
   commands across staged + queued + in-flight; the closed-loop driver
   blocks on the completion pulse when its target queue is full.
 
+It is the only host queue: closed-loop jobs (:func:`run_scale_workload`,
+Fig. 12's fio), open-loop trace replay and the NVMe command layer all
+feed it.
+
 Everything is driven by simulator events in FIFO order, so a run is a
 pure function of (topology, job): two identical runs complete the same
 commands in the same order at the same nanoseconds.
@@ -23,6 +27,7 @@ commands in the same order at the same nanoseconds.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -360,6 +365,30 @@ class ScaleRunResult:
         }
 
 
+@contextmanager
+def slot_addressing(engine: ScaleEngine, base: int, stride: int):
+    """Address every command from its pair's slot pool for the block.
+
+    A slot is held from stage to completion, so a buffer is never
+    reused while its command is in flight — unlike a ``submitted %
+    depth`` sequence, which collides as soon as completions leave FIFO
+    order (GC or checkpoint stalls, mixed read/write latencies).
+    Engines already configured with ``auto_dram`` keep their own
+    addressing.
+    """
+    if engine.auto_dram:
+        yield
+        return
+    saved = (engine.dram_base, engine.dram_stride)
+    engine.auto_dram = True
+    engine.dram_base, engine.dram_stride = base, stride
+    try:
+        yield
+    finally:
+        engine.auto_dram = False
+        engine.dram_base, engine.dram_stride = saved
+
+
 def run_scale_workload(
     sim: Simulator,
     engine: ScaleEngine,
@@ -371,7 +400,9 @@ def run_scale_workload(
     as the depth budget allows (strict submission order — head-of-line
     blocking on a saturated channel is intentional, it is what a single
     submission thread does), rings partial doorbells before blocking,
-    and waits on the completion pulse to refill.
+    and waits on the completion pulse to refill.  The result covers
+    only this job's commands, so one engine can run several jobs in
+    turn.
     """
     job.validate()
     ftl = engine.ftl
@@ -390,19 +421,8 @@ def run_scale_workload(
         lpns = rng.integers(0, max(working_set, 1), size=job.io_count).tolist()
 
     start = sim.now
-
-    # DRAM buffers come from the pair's slot pool (a slot is held from
-    # stage to completion), never from a ``submitted % depth`` sequence:
-    # even single-opcode jobs complete out of order when some commands
-    # stall on GC or checkpoint work, and a modulo slot could be reused
-    # while the earlier command holding it is still in flight.  Engines
-    # already configured with ``auto_dram`` keep their own addressing.
-    restore = None
-    if not engine.auto_dram:
-        restore = (engine.dram_base, engine.dram_stride)
-        engine.auto_dram = True
-        engine.dram_base = job.dram_base
-        engine.dram_stride = job.dram_stride
+    before = [len(pair.completions) for pair in engine.pairs]
+    doorbells_before = engine.doorbells_rung
 
     def submitter() -> Generator:
         queue = deque(int(lpn) for lpn in lpns)
@@ -425,14 +445,12 @@ def run_scale_workload(
             yield from engine.completion_pulse.wait()
         yield from engine.drain()
 
-    try:
+    with slot_addressing(engine, job.dram_base, job.dram_stride):
         sim.run_process(submitter(), name="scale-submitter")
-    finally:
-        if restore is not None:
-            engine.auto_dram = False
-            engine.dram_base, engine.dram_stride = restore
 
-    completions = [c for pair in engine.pairs for c in pair.completions]
+    windows = [pair.completions[skip:]
+               for pair, skip in zip(engine.pairs, before)]
+    completions = [c for window in windows for c in window]
     latencies = sorted(c.latency_ns for c in completions)
     mean = sum(latencies) / len(latencies) if latencies else 0.0
     return ScaleRunResult(
@@ -446,6 +464,6 @@ def run_scale_workload(
         p95_latency_ns=_percentile(latencies, 0.95),
         p99_latency_ns=_percentile(latencies, 0.99),
         max_latency_ns=latencies[-1] if latencies else 0,
-        doorbells=engine.doorbells_rung,
-        per_channel_commands=[len(pair.completions) for pair in engine.pairs],
+        doorbells=engine.doorbells_rung - doorbells_before,
+        per_channel_commands=[len(window) for window in windows],
     )

@@ -1,24 +1,12 @@
-"""Host Interface Controller: the NVMe-ish front end.
+"""Host command opcodes.
 
-A queue-depth-limited command queue in front of the FTL.  Commands are
-page-granular reads/writes; ``iodepth`` workers drain the queue the way
-an NVMe submission/completion queue pair with a fixed outstanding
-budget behaves.  Latencies are recorded per command for the metrics
-layer.
+The page-granular command set every host feeder speaks to the queue
+pairs of :mod:`repro.host.engine`.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Generator, Optional
-
-from repro.ftl.ftl import PageMappedFtl
-from repro.sim import Simulator
-from repro.sim.sync import Queue, Trigger
-
-_cmd_ids = itertools.count()
 
 
 class HostOpcode(enum.Enum):
@@ -26,91 +14,3 @@ class HostOpcode(enum.Enum):
     WRITE = "write"
     TRIM = "trim"
     FLUSH = "flush"
-
-
-@dataclass
-class HostCommand:
-    """One host command (page granular)."""
-
-    opcode: HostOpcode
-    lpn: int
-    dram_address: int = 0
-    id: int = field(default_factory=lambda: next(_cmd_ids))
-    submitted_at: int = 0
-    finished_at: Optional[int] = None
-
-    @property
-    def latency_ns(self) -> Optional[int]:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-
-class HostInterface:
-    """Queue-depth-limited command front end over an FTL."""
-
-    def __init__(self, sim: Simulator, ftl: PageMappedFtl, iodepth: int = 8):
-        if iodepth <= 0:
-            raise ValueError("iodepth must be positive")
-        self.sim = sim
-        self.ftl = ftl
-        self.iodepth = iodepth
-        self._queue: Queue = Queue(sim)
-        self._drained = Trigger(sim)
-        self._outstanding = 0
-        self._pending = 0
-        self.completed: list[HostCommand] = []
-        self._workers = [
-            sim.spawn(self._worker(), name=f"hic-worker{i}") for i in range(iodepth)
-        ]
-
-    def submit(self, command: HostCommand) -> None:
-        command.submitted_at = self.sim.now
-        self._pending += 1
-        self._queue.put(command)
-
-    def _worker(self) -> Generator:
-        while True:
-            command = yield from self._queue.get()
-            self._outstanding += 1
-            if command.opcode is HostOpcode.READ:
-                yield from self.ftl.read(command.lpn, command.dram_address)
-            elif command.opcode is HostOpcode.WRITE:
-                yield from self.ftl.write(command.lpn, command.dram_address)
-            elif command.opcode is HostOpcode.FLUSH:
-                yield from self.ftl.flush()
-            else:
-                self.ftl.trim(command.lpn)
-            command.finished_at = self.sim.now
-            tracer = self.sim._tracer
-            if tracer is not None:
-                tracer.complete(
-                    "host", "host/hic", command.opcode.value,
-                    command.submitted_at,
-                    command.finished_at - command.submitted_at,
-                    # command.id is process-global; excluded so traces
-                    # are a pure function of the run.
-                    {"lpn": command.lpn},
-                )
-            self.completed.append(command)
-            self._outstanding -= 1
-            self._pending -= 1
-            if self._pending == 0:
-                self._drained.fire()
-
-    def drain(self) -> Generator:
-        """Process helper: wait until every submitted command completed."""
-        while self._pending:
-            yield from self._drained.wait()
-
-    # -- metrics ----------------------------------------------------------
-
-    def mean_latency_ns(self) -> float:
-        done = [c.latency_ns for c in self.completed if c.latency_ns is not None]
-        return sum(done) / len(done) if done else 0.0
-
-    def p99_latency_ns(self) -> float:
-        done = sorted(c.latency_ns for c in self.completed if c.latency_ns is not None)
-        if not done:
-            return 0.0
-        return float(done[min(int(len(done) * 0.99), len(done) - 1)])

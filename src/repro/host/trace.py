@@ -10,18 +10,20 @@ module provides:
   common synthetic stand-in for production traces, which the paper's
   setting does not ship); and
 * :func:`replay_trace` — an open-loop replayer that submits commands at
-  their arrival times through a :class:`~repro.host.hic.HostInterface`.
+  their arrival times through a :class:`~repro.host.engine.ScaleEngine`.
 """
 
 from __future__ import annotations
 
 import io
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.host.hic import HostCommand, HostInterface, HostOpcode
+from repro.analysis.metrics import summarize_latencies
+from repro.host.engine import ScaleCommand, ScaleEngine, slot_addressing
+from repro.host.hic import HostOpcode
 from repro.sim import Simulator, Timeout
 from repro.sim.kernel import NS_PER_S
 
@@ -148,51 +150,52 @@ class ReplayResult:
         return self.ios / (self.elapsed_ns / NS_PER_S)
 
 
-def replay_trace(
-    sim: Simulator,
-    hic: HostInterface,
-    trace: Trace,
-    dram_stride: int = 32 * 1024,
-    dram_base: int = 0,
-    slots: int = 64,
-) -> ReplayResult:
-    """Open-loop replay: commands arrive at their trace times."""
+def replay_trace(sim: Simulator, engine: ScaleEngine, trace: Trace) -> ReplayResult:
+    """Open-loop replay: commands arrive at their trace times.
+
+    An arrival whose queue pair is full waits in a host-side backlog,
+    staged in arrival order as completions free slots.  Latency counts
+    from arrival, so time spent in the backlog is part of it.  Buffers
+    come from the pairs' slot pools.
+    """
     trace.validate()
-    before = len(hic.completed)
     start = sim.now
+    target = engine.completed + len(trace.records)
+    backlog: deque[ScaleCommand] = deque()
+    arrivals: list[tuple[int, ScaleCommand]] = []
+
+    def stage_backlog() -> None:
+        while backlog and engine.pair_for(backlog[0].lpn).free_slots > 0:
+            engine.submit(backlog.popleft())
+        engine.ring_doorbells()
 
     def injector():
-        t0 = sim.now
-        for index, record in enumerate(trace.records):
-            target = t0 + record.arrival_ns
-            if target > sim.now:
-                yield Timeout(target - sim.now)
-            hic.submit(
-                HostCommand(
-                    opcode=record.opcode,
-                    lpn=record.lpn,
-                    dram_address=dram_base + (index % slots) * dram_stride,
-                )
-            )
+        for record in trace.records:
+            due = start + record.arrival_ns
+            if due > sim.now:
+                yield Timeout(due - sim.now)
+            command = ScaleCommand(opcode=record.opcode, lpn=record.lpn)
+            arrivals.append((sim.now, command))
+            backlog.append(command)
+            stage_backlog()
 
-    process = sim.spawn(injector(), name="trace-injector")
-    sim.run()
-    if not process.finished:
-        raise RuntimeError("trace injection stalled")
-    sim.run_process(hic.drain())
+    def refill():
+        while engine.completed < target:
+            yield from engine.completion_pulse.wait()
+            stage_backlog()
 
-    window = hic.completed[before:]
-    latencies = sorted(c.latency_ns for c in window)
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    p99 = (
-        float(latencies[min(int(len(latencies) * 0.99), len(latencies) - 1)])
-        if latencies else 0.0
+    with slot_addressing(engine, engine.dram_base, engine.dram_stride):
+        sim.spawn(injector(), name="trace-injector")
+        sim.run_process(refill(), name="trace-refill")
+
+    stats = summarize_latencies(
+        [command.finished_at - arrival for arrival, command in arrivals]
     )
     return ReplayResult(
-        ios=len(window),
+        ios=len(arrivals),
         elapsed_ns=sim.now - start,
-        mean_latency_ns=mean,
-        p99_latency_ns=p99,
-        reads=sum(1 for c in window if c.opcode is HostOpcode.READ),
-        writes=sum(1 for c in window if c.opcode is HostOpcode.WRITE),
+        mean_latency_ns=stats.mean_ns,
+        p99_latency_ns=stats.p99_ns,
+        reads=sum(1 for _, c in arrivals if c.opcode is HostOpcode.READ),
+        writes=sum(1 for _, c in arrivals if c.opcode is HostOpcode.WRITE),
     )

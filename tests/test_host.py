@@ -1,11 +1,13 @@
-"""Tests for the host substrate: HIC, workload injector, fio driver."""
+"""Tests for the host substrate: the engine as a one-FTL host queue,
+the workload injector, and fio-style closed-loop jobs."""
 
 import pytest
 
+from repro.analysis.metrics import summarize_latencies
 from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import FioJob, HostCommand, HostInterface, run_fio
+from repro.host import ScaleCommand, ScaleEngine, ScaleJob, run_scale_workload
 from repro.host.hic import HostOpcode
 from repro.host.workload import measure_read_throughput
 from repro.sim import Simulator
@@ -27,58 +29,61 @@ def make_stack(lun_count=2, iodepth=4, runtime="rtos"):
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=8 * 1024 * 1024),
     )
-    hic = HostInterface(sim, ftl, iodepth=iodepth)
-    return sim, controller, ftl, hic
+    engine = ScaleEngine(sim, ftl, queue_depth=iodepth)
+    return sim, controller, ftl, engine
 
 
-# --- HIC -----------------------------------------------------------------
+def run_commands(sim, engine, opcode, lpns):
+    for lpn in lpns:
+        engine.submit(ScaleCommand(opcode=opcode, lpn=lpn))
+    sim.run_process(engine.drain())
+    return engine.pairs[0].completions
+
+
+# --- host queue over one FTL -----------------------------------------------
 
 
 def test_hic_completes_reads_and_records_latency():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack(iodepth=8)
     ftl.prefill(16)
-    for lpn in range(8):
-        hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=lpn, dram_address=0))
-    sim.run_process(hic.drain())
-    assert len(hic.completed) == 8
-    assert hic.mean_latency_ns() > 0
-    assert hic.p99_latency_ns() >= hic.mean_latency_ns() * 0.5
+    done = run_commands(sim, engine, HostOpcode.READ, range(8))
+    assert len(done) == 8
+    stats = summarize_latencies([c.latency_ns for c in done])
+    assert stats.mean_ns > 0
+    assert stats.p99_ns >= stats.mean_ns * 0.5
 
 
 def test_hic_iodepth_bounds_concurrency():
-    sim, controller, ftl, hic = make_stack(iodepth=1)
+    sim, controller, ftl, engine = make_stack(iodepth=1)
     ftl.prefill(8)
-    for lpn in range(4):
-        hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=lpn))
-    sim.run_process(hic.drain())
-    # With iodepth 1 completions are strictly serialized.
-    ends = [c.finished_at for c in hic.completed]
+    run_scale_workload(sim, engine, ScaleJob(io_count=4))
+    # With queue depth 1 commands are strictly serialized.
+    done = engine.pairs[0].completions
+    ends = [c.finished_at for c in done]
     assert ends == sorted(ends)
-    starts = [c.submitted_at for c in hic.completed]
+    starts = [c.started_at for c in done]
     assert all(s <= e for s, e in zip(starts, ends))
+    assert all(s >= e for s, e in zip(starts[1:], ends))
 
 
 def test_hic_write_then_read_path():
-    sim, controller, ftl, hic = make_stack()
-    hic.submit(HostCommand(opcode=HostOpcode.WRITE, lpn=3, dram_address=0))
-    sim.run_process(hic.drain())
-    hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=3, dram_address=65536))
-    sim.run_process(hic.drain())
+    sim, controller, ftl, engine = make_stack()
+    run_commands(sim, engine, HostOpcode.WRITE, [3])
+    run_commands(sim, engine, HostOpcode.READ, [3])
     assert ftl.host_reads == 1 and ftl.host_writes == 1
 
 
 def test_hic_trim_path():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack()
     ftl.prefill(4)
-    hic.submit(HostCommand(opcode=HostOpcode.TRIM, lpn=2))
-    sim.run_process(hic.drain())
+    run_commands(sim, engine, HostOpcode.TRIM, [2])
     assert ftl.map.lookup(2) is None
 
 
 def test_hic_validates_iodepth():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack()
     with pytest.raises(ValueError):
-        HostInterface(sim, ftl, iodepth=0)
+        ScaleEngine(sim, ftl, queue_depth=0)
 
 
 # --- workload injector -------------------------------------------------------
@@ -154,35 +159,19 @@ def test_throughput_deterministic_across_runs():
     assert run() == run()
 
 
-# --- fio -----------------------------------------------------------------
+# --- fio-style jobs ---------------------------------------------------------
 
 
 def test_fio_sequential_and_random():
-    sim, controller, ftl, hic = make_stack(lun_count=2, iodepth=4)
+    sim, controller, ftl, engine = make_stack(lun_count=2, iodepth=4)
     ftl.prefill(64)
-    seq = run_fio(sim, hic, FioJob(pattern="sequential", io_count=32, iodepth=4))
-    rand = run_fio(sim, hic, FioJob(pattern="random", io_count=32, iodepth=4, seed=3))
-    assert seq.ios == 32 and rand.ios == 32
-    assert seq.bandwidth_mb_s > 0 and rand.bandwidth_mb_s > 0
+    seq = run_scale_workload(sim, engine,
+                             ScaleJob(pattern="sequential", io_count=32))
+    rand = run_scale_workload(sim, engine,
+                              ScaleJob(pattern="random", io_count=32, seed=3))
+    # Each result covers only its own job on the shared engine.
+    assert seq.commands == 32 and rand.commands == 32
+    assert seq.throughput_mb_s > 0 and rand.throughput_mb_s > 0
     assert seq.iops > 0
     assert seq.p99_latency_ns >= seq.mean_latency_ns * 0.5
-
-
-def test_fio_validates_job():
-    with pytest.raises(ValueError):
-        FioJob(pattern="zigzag").validate()
-    with pytest.raises(ValueError):
-        FioJob(io_count=0).validate()
-
-
-def test_fio_read_on_empty_ftl_rejected():
-    sim, controller, ftl, hic = make_stack()
-    with pytest.raises(ValueError, match="prefill"):
-        run_fio(sim, hic, FioJob(io_count=4))
-
-
-def test_fio_prefill_parameter():
-    sim, controller, ftl, hic = make_stack()
-    result = run_fio(sim, hic, FioJob(io_count=8, iodepth=2), prefill=32)
-    assert ftl.map.mapped_count == 32
-    assert result.ios == 8
+    assert seq.doorbells + rand.doorbells == engine.doorbells_rung

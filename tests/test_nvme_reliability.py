@@ -8,12 +8,12 @@ from repro.core.reliability import ReadOutcome, ReliableReader
 from repro.ecc import BchConfig, BchEngine
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
+from repro.host import QueueSaturatedError, ScaleEngine
 from repro.host.nvme import (
     NvmeCommand,
     NvmeController,
     NvmeOpcode,
     NvmeStatus,
-    QueueFullError,
 )
 from repro.sim import Simulator
 
@@ -37,16 +37,16 @@ def make_nvme(lun_count=2, depth=8, track_data=True):
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=8 * 1024 * 1024),
     )
-    nvme = NvmeController(sim, ftl, block_size=BLOCK)
-    qp = nvme.create_queue_pair(depth=depth)
-    return sim, controller, ftl, nvme, qp
+    engine = ScaleEngine(sim, ftl, queue_depth=depth)
+    nvme = NvmeController(sim, engine, block_size=BLOCK)
+    return sim, controller, ftl, nvme
 
 
-def run_cmd(sim, qp, command):
-    cid = qp.submit(command)
+def run_cmd(sim, nvme, command):
+    cid = nvme.submit(command)
 
     def waiter():
-        entry = yield from qp.wait_completion(cid)
+        entry = yield from nvme.wait_completion(cid)
         return entry
 
     return sim.run_process(waiter())
@@ -56,27 +56,39 @@ def run_cmd(sim, qp, command):
 
 
 def test_identify_reports_capacity():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     info = nvme.identify()
     assert info["block_size"] == BLOCK
     assert info["capacity_blocks"] == ftl.logical_pages * (PAGE // BLOCK)
 
 
 def test_block_size_must_divide_page():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     with pytest.raises(ValueError):
-        NvmeController(sim, ftl, block_size=600)
+        NvmeController(sim, nvme.engine, block_size=600)
+
+
+def test_engine_must_be_one_ftl_without_slot_addressing():
+    from repro.ftl import ShardedFtl
+
+    sim, controller, ftl, nvme = make_nvme()
+    # Slot addressing would overwrite the command-owned page buffers.
+    with pytest.raises(ValueError, match="auto_dram"):
+        NvmeController(sim, ScaleEngine(sim, ftl, auto_dram=True))
+    sharded = ShardedFtl(sim, [controller], ftl.config)
+    with pytest.raises(ValueError, match="PageMappedFtl"):
+        NvmeController(sim, ScaleEngine(sim, sharded))
 
 
 def test_full_page_write_then_read_roundtrip():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     bpp = nvme.blocks_per_page
     payload = (np.arange(PAGE) % 241).astype(np.uint8)
     controller.dram.write(0, payload)
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=0,
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.WRITE, slba=0,
                                          block_count=bpp, prp=0))
     assert entry.ok
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.READ, slba=0,
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.READ, slba=0,
                                          block_count=bpp, prp=PAGE * 4))
     assert entry.ok
     np.testing.assert_array_equal(controller.dram.read(PAGE * 4, PAGE), payload)
@@ -84,20 +96,20 @@ def test_full_page_write_then_read_roundtrip():
 
 
 def test_partial_write_triggers_rmw_and_merges():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     bpp = nvme.blocks_per_page
     base = np.full(PAGE, 0x11, dtype=np.uint8)
     controller.dram.write(0, base)
-    run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=0, block_count=bpp, prp=0))
+    run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.WRITE, slba=0, block_count=bpp, prp=0))
 
     patch = np.full(BLOCK, 0x99, dtype=np.uint8)
     controller.dram.write(50_000, patch)
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=1,
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.WRITE, slba=1,
                                          block_count=1, prp=50_000))
     assert entry.ok
     assert nvme.rmw_count == 1
 
-    run_cmd(sim, qp, NvmeCommand(NvmeOpcode.READ, slba=0, block_count=bpp,
+    run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.READ, slba=0, block_count=bpp,
                                  prp=PAGE * 4))
     merged = controller.dram.read(PAGE * 4, PAGE)
     assert (merged[:BLOCK] == 0x11).all()
@@ -106,14 +118,14 @@ def test_partial_write_triggers_rmw_and_merges():
 
 
 def test_read_spanning_pages():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     bpp = nvme.blocks_per_page
     for page_index, fill in enumerate((0xAA, 0xBB)):
         controller.dram.write(0, np.full(PAGE, fill, dtype=np.uint8))
-        run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=page_index * bpp,
+        run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.WRITE, slba=page_index * bpp,
                                      block_count=bpp, prp=0))
     # Read the last block of page 0 plus the first block of page 1.
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.READ, slba=bpp - 1,
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.READ, slba=bpp - 1,
                                          block_count=2, prp=PAGE * 4))
     assert entry.ok
     out = controller.dram.read(PAGE * 4, 2 * BLOCK)
@@ -122,65 +134,105 @@ def test_read_spanning_pages():
 
 
 def test_unwritten_blocks_read_zero():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     controller.dram.write(PAGE * 4, np.full(BLOCK, 0xFF, dtype=np.uint8))
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.READ, slba=0,
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.READ, slba=0,
                                          block_count=1, prp=PAGE * 4))
     assert entry.ok
     assert (controller.dram.read(PAGE * 4, BLOCK) == 0).all()
 
 
 def test_lba_out_of_range_rejected():
-    sim, controller, ftl, nvme, qp = make_nvme()
-    entry = run_cmd(sim, qp, NvmeCommand(
+    sim, controller, ftl, nvme = make_nvme()
+    entry = run_cmd(sim, nvme, NvmeCommand(
         NvmeOpcode.READ, slba=nvme.capacity_blocks, block_count=1, prp=0))
     assert entry.status is NvmeStatus.LBA_OUT_OF_RANGE
 
 
 def test_invalid_block_count_rejected():
-    sim, controller, ftl, nvme, qp = make_nvme()
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.READ, slba=0,
+    sim, controller, ftl, nvme = make_nvme()
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.READ, slba=0,
                                          block_count=0, prp=0))
     assert entry.status is NvmeStatus.INVALID_FIELD
 
 
 def test_flush_completes_immediately():
-    sim, controller, ftl, nvme, qp = make_nvme()
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.FLUSH))
+    sim, controller, ftl, nvme = make_nvme()
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.FLUSH))
     assert entry.ok
 
 
 def test_dsm_trims_fully_covered_pages():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     bpp = nvme.blocks_per_page
     controller.dram.write(0, np.full(PAGE, 1, dtype=np.uint8))
-    run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=0, block_count=bpp, prp=0))
+    run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.WRITE, slba=0, block_count=bpp, prp=0))
     assert ftl.map.lookup(0) is not None
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.DSM, slba=0, block_count=bpp))
+    entry = run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.DSM, slba=0, block_count=bpp))
     assert entry.ok
     assert ftl.map.lookup(0) is None
 
 
 def test_queue_depth_enforced():
-    sim, controller, ftl, nvme, qp = make_nvme(depth=2)
-    qp.submit(NvmeCommand(NvmeOpcode.FLUSH))
-    qp.submit(NvmeCommand(NvmeOpcode.FLUSH))
-    with pytest.raises(QueueFullError):
-        qp.submit(NvmeCommand(NvmeOpcode.FLUSH))
-    sim.run_process(qp.drain())
-    assert qp.free_slots == 2
+    sim, controller, ftl, nvme = make_nvme(depth=2)
+    nvme.submit(NvmeCommand(NvmeOpcode.FLUSH))
+    nvme.submit(NvmeCommand(NvmeOpcode.FLUSH))
+    with pytest.raises(QueueSaturatedError):
+        nvme.submit(NvmeCommand(NvmeOpcode.FLUSH))
+    sim.run_process(nvme.drain())
+    assert nvme.free_slots == 2
 
 
 def test_drain_waits_for_all():
-    sim, controller, ftl, nvme, qp = make_nvme()
+    sim, controller, ftl, nvme = make_nvme()
     bpp = nvme.blocks_per_page
     controller.dram.write(0, np.full(PAGE, 3, dtype=np.uint8))
     for i in range(4):
-        qp.submit(NvmeCommand(NvmeOpcode.WRITE, slba=i * bpp,
-                              block_count=bpp, prp=0))
-    sim.run_process(qp.drain())
-    assert len(qp.completions) == 4
-    assert all(c.ok for c in qp.completions)
+        nvme.submit(NvmeCommand(NvmeOpcode.WRITE, slba=i * bpp,
+                                block_count=bpp, prp=0))
+    sim.run_process(nvme.drain())
+    assert len(nvme.completions) == 4
+    assert all(c.ok for c in nvme.completions)
+
+
+def test_buffers_are_never_reused_in_flight():
+    # Sixteen concurrent full-page writes at depth 16: every command
+    # holds its own page buffer until it completes, so no write can
+    # program another command's data.
+    sim, controller, ftl, nvme = make_nvme(depth=16)
+    bpp = nvme.blocks_per_page
+    host_in, host_out = 1 << 20, 2 << 20
+    for i in range(16):
+        controller.dram.write(host_in + i * PAGE,
+                              np.full(PAGE, i + 1, dtype=np.uint8))
+        nvme.submit(NvmeCommand(NvmeOpcode.WRITE, slba=i * bpp,
+                                block_count=bpp, prp=host_in + i * PAGE))
+    assert nvme.free_slots == 0
+    sim.run_process(nvme.drain())
+    for i in range(16):
+        nvme.submit(NvmeCommand(NvmeOpcode.READ, slba=i * bpp,
+                                block_count=bpp, prp=host_out + i * PAGE))
+    sim.run_process(nvme.drain())
+    assert all(c.ok for c in nvme.completions)
+    for i in range(16):
+        data = controller.dram.read(host_out + i * PAGE, PAGE)
+        assert (data == i + 1).all(), f"LPN {i} read back another command's data"
+
+
+def test_flush_is_a_durability_barrier():
+    from repro.ftl.persist import REC_BIND
+    from tests.test_persist import make_persistent_ftl
+
+    sim, controller, ftl = make_persistent_ftl()
+    nvme = NvmeController(sim, ScaleEngine(sim, ftl, queue_depth=4),
+                          block_size=BLOCK)
+    controller.dram.write(0, np.full(PAGE, 7, dtype=np.uint8))
+    assert run_cmd(sim, nvme, NvmeCommand(
+        NvmeOpcode.WRITE, slba=0, block_count=nvme.blocks_per_page)).ok
+    assert ftl.persist.durable_journal == []    # the bind is only buffered
+    assert run_cmd(sim, nvme, NvmeCommand(NvmeOpcode.FLUSH)).ok
+    assert [rec[:2] for rec in ftl.persist.durable_journal] == [[REC_BIND, 0]]
+    assert ftl.persist._buffer == []
 
 
 # --- reliable reader -------------------------------------------------------

@@ -394,7 +394,7 @@ def test_logic_analyzer_post_hoc_replay():
 
 def test_host_interface_emits_command_spans():
     from repro.ftl import FtlConfig, PageMappedFtl
-    from repro.host import FioJob, HostInterface, run_fio
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 
     sim = Simulator()
     tracer = Tracer()
@@ -408,10 +408,10 @@ def test_host_interface_emits_command_spans():
                   gc_staging_base=48 * 1024 * 1024),
     )
     ftl.prefill(16)
-    hic = HostInterface(sim, ftl, iodepth=4)
-    run_fio(sim, hic, FioJob(pattern="sequential", io_count=8, iodepth=4))
+    engine = ScaleEngine(sim, ftl, queue_depth=4)
+    run_scale_workload(sim, engine, ScaleJob(pattern="sequential", io_count=8))
 
-    spans = tracer.spans("host/hic")
+    spans = tracer.spans("host/qp0")
     assert len(spans) == 8
     assert all(span.value > 0 for span in spans)
 

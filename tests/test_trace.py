@@ -6,7 +6,7 @@ from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.host import (
-    HostInterface,
+    ScaleEngine,
     Trace,
     TraceRecord,
     replay_trace,
@@ -32,8 +32,8 @@ def make_stack(lun_count=2, iodepth=4):
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
                   gc_staging_base=8 * 1024 * 1024),
     )
-    hic = HostInterface(sim, ftl, iodepth=iodepth)
-    return sim, controller, ftl, hic
+    engine = ScaleEngine(sim, ftl, queue_depth=iodepth)
+    return sim, controller, ftl, engine
 
 
 # --- synthesis -------------------------------------------------------------
@@ -101,12 +101,12 @@ def test_trace_validate_rejects_time_travel():
 
 
 def test_replay_completes_all_ios():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack()
     ftl.prefill(32)
     trace = synthesize_trace(io_count=40, working_set_pages=32,
                              read_fraction=0.5, mean_interarrival_ns=200_000,
                              seed=6)
-    result = replay_trace(sim, hic, trace)
+    result = replay_trace(sim, engine, trace)
     assert result.ios == 40
     assert result.reads + result.writes == 40
     assert result.mean_latency_ns > 0
@@ -114,20 +114,41 @@ def test_replay_completes_all_ios():
 
 
 def test_replay_open_loop_respects_arrivals():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack()
     ftl.prefill(8)
     # Widely spaced arrivals: elapsed time tracks the trace span.
     records = [TraceRecord(i * 2_000_000, HostOpcode.READ, i % 8)
                for i in range(5)]
-    result = replay_trace(sim, hic, Trace(records=records))
+    result = replay_trace(sim, engine, Trace(records=records))
     assert result.elapsed_ns >= 8_000_000
+
+
+def test_replay_backlogs_arrivals_beyond_queue_depth():
+    sim, controller, ftl, engine = make_stack(iodepth=2)
+    ftl.prefill(8)
+    # A burst of eight arrivals at t=0 against two slots: six wait in the
+    # host backlog, and their latency counts from arrival.
+    burst = Trace(records=[TraceRecord(0, HostOpcode.READ, i)
+                           for i in range(8)])
+    result = replay_trace(sim, engine, burst)
+    done = engine.pairs[0].completions
+    assert result.ios == len(done) == 8
+    assert max(c.submitted_at for c in done) > 0
+    assert result.p99_latency_ns > done[0].latency_ns
+    assert engine.outstanding == 0
+
+
+def test_replay_of_empty_trace_is_a_no_op():
+    sim, controller, ftl, engine = make_stack()
+    result = replay_trace(sim, engine, Trace())
+    assert (result.ios, result.elapsed_ns, result.mean_latency_ns) == (0, 0, 0.0)
 
 
 # --- wear leveling -------------------------------------------------------------
 
 
 def test_level_wear_noop_when_balanced():
-    sim, controller, ftl, hic = make_stack()
+    sim, controller, ftl, engine = make_stack()
 
     def scenario():
         moved = yield from ftl.level_wear()
@@ -138,7 +159,7 @@ def test_level_wear_noop_when_balanced():
 
 @pytest.mark.slow_waveform
 def test_level_wear_relocates_cold_block():
-    sim, controller, ftl, hic = make_stack(lun_count=1)
+    sim, controller, ftl, engine = make_stack(lun_count=1)
     pages = ftl.pages_per_block
 
     def fill_and_churn():
