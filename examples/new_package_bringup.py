@@ -86,7 +86,8 @@ def main() -> None:
     # — observed here with the logic analyzer.
     from repro.analysis import LogicAnalyzer
     from repro.core.opir.programs import reset_program
-    from repro.onfi.commands import CMD, opcode_name
+    from repro.onfi.commands import CMD
+    from repro.onfi.protocol import opcode_name
 
     quirky = TOSHIBA_BICS5.with_op_override(
         "reset", lambda synchronous=False: reset_program(synchronous=True)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.bus.channel import Channel
-from repro.onfi.commands import CMD, opcode_name
+from repro.onfi.commands import CMD
+from repro.onfi.protocol import opcode_name
 from repro.onfi.signals import (
     AddressLatch,
     CommandLatch,
     DataInAction,
     DataOutAction,
-    SegmentKind,
     WaveformSegment,
 )
 

@@ -4,9 +4,10 @@ The sanitizers (SAN2xx/3xx/4xx) and the logic-analyzer timing checker
 (TCK) only see hazards on paths a workload happens to exercise, at
 waveform fidelity.  This module promotes those runtime checks to
 static proofs: it abstract-interprets a built
-:class:`~repro.core.opir.nodes.OpProgram` against an ONFI die
-automaton (mirroring :mod:`repro.flash.lun`) with an interval timing
-domain (mirroring :mod:`repro.analysis.timing_check`), so a protocol
+:class:`~repro.core.opir.nodes.OpProgram` against the LUN's protocol
+table (:mod:`repro.onfi.protocol`, the rows :mod:`repro.flash.lun`
+interprets concretely) with an interval timing domain (mirroring
+:mod:`repro.analysis.timing_check`), so a protocol
 or timing bug is reported before anything runs — over *all* paths,
 not just observed traces.
 
@@ -79,8 +80,18 @@ from repro.core.opir.nodes import (
 )
 from repro.core.ufsm.base import UfsmBank
 from repro.dram import DmaHandle
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
+from repro.onfi.commands import CMD
 from repro.onfi.datamodes import interface_by_name
+from repro.onfi.protocol import (
+    STATUS_OPCODES,
+    SUSPENDABLE,
+    AddrFormat,
+    DataSource,
+    Effect,
+    LunState,
+    OpcodeRow,
+    opcode_row,
+)
 
 INF = float("inf")
 
@@ -92,17 +103,9 @@ POLL_CPU_ALLOWANCE_NS = 10_000
 #: The two NV-DDR2 interface modes the library ships against.
 DEFAULT_MODES = ("NV-DDR2-100", "NV-DDR2-200")
 
-_CONFIRM_CLASSES = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.CACHE_READ_CONFIRM,
-    CommandClass.CACHE_READ_END,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-
-_SUSPENDABLE_KINDS = {"program", "erase", "unknown"}
+# Busy kinds (BusyKind values, plus a join of differing kinds) a
+# suspend may interrupt.
+_SUSPENDABLE_KINDS = {kind.value for kind in SUSPENDABLE} | {"unknown"}
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +197,15 @@ class _State:
     cache_busy: Optional[Iv] = None      # cache-read array fetch remaining
     cache_prog: Optional[Iv] = None      # cache-program array work remaining
     suspended: Optional[_Busy] = None
-    pending_arm: Optional[str] = None    # source armed when busy completes
+    # Source armed when the busy window completes...
+    pending_arm: Optional[DataSource] = None
     pending_loads: bool = False          # ...and the page register fills
 
-    armed: str = "none"   # none|status|register|feature|id|param|unknown
+    # The armed data source; None when paths disagree (unknown).
+    armed: Optional[DataSource] = DataSource.NONE
     register_loaded: str = "no"  # no|yes|maybe
-    phase: str = "idle"   # idle|await_addr|await_confirm
-    pending_opcode: Optional[int] = None
-    addr_format: str = "full"
+    phase: LunState = LunState.IDLE  # IDLE|AWAIT_ADDRESS|AWAIT_CONFIRM
+    pending: Optional[OpcodeRow] = None  # command awaiting its address
     have_row: bool = False
     status_addr_pending: bool = False
     pslc: bool = False
@@ -333,13 +337,12 @@ class _State:
         out.pending_arm = (a.pending_arm if a.pending_arm == b.pending_arm
                            else a.pending_arm or b.pending_arm)
         out.pending_loads = a.pending_loads or b.pending_loads
-        out.armed = a.armed if a.armed == b.armed else "unknown"
+        out.armed = a.armed if a.armed == b.armed else None
         out.register_loaded = (a.register_loaded
                                if a.register_loaded == b.register_loaded
                                else "maybe")
-        out.phase = a.phase if a.phase == b.phase else "idle"
-        out.pending_opcode = (a.pending_opcode
-                              if a.pending_opcode == b.pending_opcode else None)
+        out.phase = a.phase if a.phase == b.phase else LunState.IDLE
+        out.pending = a.pending if a.pending == b.pending else None
         out.have_row = a.have_row and b.have_row
         out.status_addr_pending = False
         out.pslc = a.pslc or b.pslc
@@ -729,8 +732,8 @@ class _Verifier:
             return  # OPL005 reports it
         if seg.via_chip_control:
             self.inexact = True  # broadcast conflates the replica dies
-        is_status = any(latch.kind == "cmd" and int(latch.value) in
-                        (CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED)
+        is_status = any(latch.kind == "cmd"
+                        and int(latch.value) in STATUS_OPCODES
                         for latch in seg.latches)
         if is_status and not seg.via_chip_control:
             self._check_mask(seg.chip_mask, where, "status poll")
@@ -787,31 +790,29 @@ class _Verifier:
         st.prev_wire = "data_out" if seg.direction == "out" else "data_in"
         st.advance(Iv.exact(emitted.duration_ns - offset))
 
-    # -- the ONFI automaton (mirrors repro.flash.lun) ------------------
+    # -- the ONFI protocol table, interpreted abstractly ----------------
 
     def _on_command(self, opcode: int, where: str, st: _State) -> None:
-        cls = classify_opcode(opcode)
+        row = opcode_row(opcode)
 
         # OPV204 — tRHW turnaround after a data-out burst.
         if (st.prev_wire == "data_out" and st.since_data_end is not None
                 and st.since_data_end.lo < self.req.tRHW):
             self.flag(
                 "OPV204", "error", where,
-                f"{opcode_name(opcode)} can latch "
+                f"{row.name} can latch "
                 f"{st.since_data_end.describe()} after a data-out burst "
                 f"(tRHW={self.req.tRHW} ns)",
                 hint="give the RE#-to-WE# turnaround time after a burst",
             )
 
         # OPV101 — command while array-busy (SAN201).
-        if (st.busy is not None
-                and cls not in (CommandClass.STATUS, CommandClass.RESET)
-                and opcode != CMD.VENDOR_SUSPEND):
+        if st.busy is not None and not row.busy_ok:
             certainty = ("always busy" if st.busy.remaining.lo > 0
                          else "may still be busy")
             self.flag(
                 "OPV101", "error", where,
-                f"opcode {opcode_name(opcode)} latches while the "
+                f"opcode {row.name} latches while the "
                 f"{st.busy.kind} operation {certainty} "
                 f"(remaining {st.busy.remaining.describe()}) — SAN201 / "
                 f"LunProtocolError at run time",
@@ -819,18 +820,17 @@ class _Verifier:
                      "operation) before the next command",
             )
         if (st.cache_prog is not None
-                and cls in (CommandClass.PROGRAM_CONFIRM,
-                            CommandClass.CACHE_PROGRAM_CONFIRM)):
+                and row.effect in (Effect.PROGRAM, Effect.CACHE_PROGRAM)):
             self.flag(
                 "OPV101", "error", where,
-                f"{opcode_name(opcode)} confirms a program while a cache "
+                f"{row.name} confirms a program while a cache "
                 f"program is still in the array "
                 f"(remaining {st.cache_prog.describe()})",
                 hint="poll ARDY before confirming the next cache page",
             )
 
         # OPV201 — tWB before a status poll after a confirm.
-        if (cls is CommandClass.STATUS and st.since_confirm is not None
+        if (row.effect is Effect.STATUS and st.since_confirm is not None
                 and st.since_confirm.lo < self.req.tWB):
             self.flag(
                 "OPV201", "error", where,
@@ -838,105 +838,65 @@ class _Verifier:
                 f"{st.since_confirm.describe()} (tWB={self.req.tWB} ns)",
             )
 
-        # State machine (mirror of Lun._on_command).
-        if cls is CommandClass.STATUS:
-            st.armed = "status"
-            st.status_addr_pending = opcode == CMD.READ_STATUS_ENHANCED
-        elif cls is CommandClass.RESET:
-            st.busy = _Busy(
-                "reset", Iv.exact(self.vendor.timing.t_reset_ns), where)
-            st.pending_arm = None
-            st.pending_loads = False
-            st.suspended = None
-            st.cache_prog = None
-            st.cache_busy = None
-            st.armed = "none"
-            st.pslc = False
-            st.phase = "idle"
-            st.since_confirm = Iv.exact(0)
-        elif opcode == CMD.VENDOR_SUSPEND:
-            self._do_suspend(where, st)
-        elif opcode == CMD.VENDOR_RESUME:
-            if st.suspended is not None:
-                st.busy = _Busy(
-                    st.suspended.kind,
-                    st.suspended.remaining
-                    + Iv.exact(self.vendor.timing.t_resume_ns),
-                    where)
-                st.suspended = None
-            # else: resuming an externally suspended op — unknowable.
-        elif opcode == CMD.VENDOR_PSLC_ENTER:
-            if not getattr(self.vendor, "supports_pslc", True):
-                self.flag("OPV104", "error", where,
-                          f"{self.vendor.name} has no pSLC opcode")
-            st.pslc = True
-        elif opcode == CMD.VENDOR_PSLC_EXIT:
-            st.pslc = False
-        elif cls is CommandClass.READ:
-            st.pending_opcode = opcode
-            st.addr_format = "full"
-            st.phase = "await_addr"
-        elif cls is CommandClass.READ_CONFIRM:
-            self._confirm(st, where, "read",
-                          queue=(opcode == CMD.MP_READ_2ND))
-        elif cls in (CommandClass.CACHE_READ_CONFIRM,
-                     CommandClass.CACHE_READ_END):
-            self._confirm_cache_read(
-                st, where, final=(cls is CommandClass.CACHE_READ_END))
-        elif cls is CommandClass.CHANGE_READ_COLUMN:
-            if opcode == CMD.CHANGE_READ_COL_1ST:
-                st.pending_opcode = opcode
-                st.addr_format = "col"
-                st.phase = "await_addr"
-            elif opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-                st.pending_opcode = opcode
-                st.addr_format = "full"
-                st.phase = "await_addr"
-            else:  # 0xE0 confirm: the register becomes readable
-                st.armed = "register"
-                st.phase = "idle"
-                st.since_ccol = Iv.exact(0)
-        elif cls is CommandClass.PROGRAM:
-            st.pending_opcode = opcode
-            st.addr_format = "full"
-            st.phase = "await_addr"
-        elif cls is CommandClass.PROGRAM_CONFIRM:
-            self._confirm(st, where, "program",
-                          queue=(opcode == CMD.MP_PROGRAM_2ND))
-        elif cls is CommandClass.CACHE_PROGRAM_CONFIRM:
-            if self._require_row(st, where):
-                st.cache_prog = self._prog_iv(st)
-                st.phase = "idle"
-        elif cls is CommandClass.CHANGE_WRITE_COLUMN:
-            st.pending_opcode = opcode
-            st.addr_format = "col"
-            st.phase = "await_addr"
-        elif cls is CommandClass.ERASE:
-            st.pending_opcode = opcode
-            st.addr_format = "row"
-            st.phase = "await_addr"
-        elif cls is CommandClass.ERASE_CONFIRM:
-            self._confirm(st, where, "erase",
-                          queue=(opcode == CMD.MP_ERASE_2ND))
-        elif cls is CommandClass.IDENT:
-            st.pending_opcode = opcode
-            st.addr_format = "one"
-            st.phase = "await_addr"
-        elif cls is CommandClass.FEATURES:
-            st.pending_opcode = opcode
-            st.addr_format = "one"
-            st.phase = "await_addr"
-        else:
-            self.flag("OPV104", "error", where,
-                      f"unsupported opcode 0x{opcode:02X} — the die "
-                      f"model raises LunProtocolError")
+        self._ON_LATCH[row.effect](self, row, where, st)
 
-        if cls in _CONFIRM_CLASSES:
+        if row.confirms:
             st.since_confirm = Iv.exact(0)
         st.prev_wire = "cmd"
         st.since_cmd = Iv.exact(0)
 
-    def _do_suspend(self, where: str, st: _State) -> None:
+    # -- latch handlers, one per protocol Effect ----------------------
+
+    def _latch_status(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.armed = row.arms.source
+        st.status_addr_pending = row.addr is not None
+
+    def _latch_address(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.pending = row
+        st.phase = LunState.AWAIT_ADDRESS
+
+    def _latch_arm_column(self, row: OpcodeRow, where: str,
+                          st: _State) -> None:
+        st.armed = row.arms.source
+        st.phase = LunState.IDLE
+        st.since_ccol = Iv.exact(0)
+
+    def _latch_reset(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.busy = _Busy(
+            "reset", Iv.exact(self.vendor.timing.t_reset_ns), where)
+        st.pending_arm = None
+        st.pending_loads = False
+        st.suspended = None
+        st.cache_prog = None
+        st.cache_busy = None
+        st.armed = DataSource.NONE
+        st.pslc = False
+        st.phase = LunState.IDLE
+
+    def _latch_resume(self, row: OpcodeRow, where: str, st: _State) -> None:
+        if st.suspended is not None:
+            st.busy = _Busy(
+                st.suspended.kind,
+                st.suspended.remaining
+                + Iv.exact(self.vendor.timing.t_resume_ns),
+                where)
+            st.suspended = None
+        # else: resuming an externally suspended op — unknowable.
+
+    def _latch_pslc(self, row: OpcodeRow, where: str, st: _State) -> None:
+        entering = row.effect is Effect.PSLC_ENTER
+        if entering and not getattr(self.vendor, "supports_pslc", True):
+            self.flag("OPV104", "error", where,
+                      f"{self.vendor.name} has no pSLC opcode")
+        st.pslc = entering
+
+    def _latch_unsupported(self, row: OpcodeRow, where: str,
+                           st: _State) -> None:
+        self.flag("OPV104", "error", where,
+                  f"unsupported opcode 0x{row.opcode:02X} — the die "
+                  f"model raises LunProtocolError")
+
+    def _do_suspend(self, row: OpcodeRow, where: str, st: _State) -> None:
         if not getattr(self.vendor, "supports_suspend", True):
             self.flag("OPV104", "error", where,
                       f"{self.vendor.name} has no suspend opcode")
@@ -960,7 +920,7 @@ class _Verifier:
             self.inexact = True
 
     def _require_row(self, st: _State, where: str) -> bool:
-        if st.phase != "await_confirm" or not st.have_row:
+        if st.phase is not LunState.AWAIT_CONFIRM or not st.have_row:
             self.flag(
                 "OPV104", "error", where,
                 "confirm latched without a full address — "
@@ -971,28 +931,43 @@ class _Verifier:
             return False
         return True
 
-    def _confirm(self, st: _State, where: str, kind: str,
-                 queue: bool) -> None:
+    def _begin_confirm(self, row: OpcodeRow, where: str, st: _State) -> bool:
+        """Shared confirm prologue; True when the confirm starts its
+        array operation (False: no full address, or a multi-plane queue
+        cycle, which only runs tDBSY)."""
         if not self._require_row(st, where):
-            return
-        if queue:
+            return False
+        st.phase = LunState.IDLE
+        if row.queue:
             st.busy = _Busy(
                 "dummy", Iv.exact(self.vendor.timing.t_dbsy_ns), where)
-            st.phase = "idle"
-            return
-        if kind == "read":
+            return False
+        return True
+
+    def _confirm_read(self, row: OpcodeRow, where: str, st: _State) -> None:
+        if self._begin_confirm(row, where, st):
             st.busy = _Busy("read", self._read_iv(st), where)
-            st.pending_arm = "register"
+            st.pending_arm = DataSource.REGISTER
             st.pending_loads = True
-        elif kind == "program":
+
+    def _confirm_program(self, row: OpcodeRow, where: str,
+                         st: _State) -> None:
+        if self._begin_confirm(row, where, st):
             st.busy = _Busy("program", self._prog_iv(st), where)
-        else:
+
+    def _confirm_erase(self, row: OpcodeRow, where: str, st: _State) -> None:
+        if self._begin_confirm(row, where, st):
             st.busy = _Busy(
                 "erase", self._jittered(self.vendor.timing.t_bers_ns), where)
-        st.phase = "idle"
 
-    def _confirm_cache_read(self, st: _State, where: str,
-                            final: bool) -> None:
+    def _confirm_cache_program(self, row: OpcodeRow, where: str,
+                               st: _State) -> None:
+        if self._require_row(st, where):
+            st.cache_prog = self._prog_iv(st)
+            st.phase = LunState.IDLE
+
+    def _confirm_cache_read(self, row: OpcodeRow, where: str,
+                            st: _State) -> None:
         if not st.have_row:
             self.flag(
                 "OPV104", "error", where,
@@ -1012,17 +987,37 @@ class _Verifier:
                 "OPV102", "warning", where,
                 "cache read may flip an empty page register on some paths",
             )
-        st.armed = "register"
+        st.armed = DataSource.REGISTER
         st.register_loaded = "yes"
-        if not final:
+        if row.effect is Effect.CACHE_READ:
             st.cache_busy = self._read_iv(st)
+
+    #: Protocol effect -> abstract latch handler (called with the row).
+    _ON_LATCH = {
+        Effect.ADDRESS: _latch_address,
+        Effect.STATUS: _latch_status,
+        Effect.ARM_COLUMN: _latch_arm_column,
+        Effect.READ: _confirm_read,
+        Effect.CACHE_READ: _confirm_cache_read,
+        Effect.CACHE_READ_END: _confirm_cache_read,
+        Effect.PROGRAM: _confirm_program,
+        Effect.CACHE_PROGRAM: _confirm_cache_program,
+        Effect.ERASE: _confirm_erase,
+        Effect.RESET: _latch_reset,
+        Effect.SUSPEND: _do_suspend,
+        Effect.RESUME: _latch_resume,
+        Effect.PSLC_ENTER: _latch_pslc,
+        Effect.PSLC_EXIT: _latch_pslc,
+        Effect.UNSUPPORTED: _latch_unsupported,
+    }
 
     def _on_address(self, address_bytes, where: str, st: _State) -> None:
         if st.status_addr_pending:
             st.status_addr_pending = False
             st.prev_wire = "addr"
             return
-        if st.phase != "await_addr" or st.pending_opcode is None:
+        row = st.pending
+        if st.phase is not LunState.AWAIT_ADDRESS or row is None:
             self.flag(
                 "OPV104", "error", where,
                 f"address latch ({len(tuple(address_bytes))} cycle(s)) "
@@ -1032,44 +1027,42 @@ class _Verifier:
             )
             st.prev_wire = "addr"
             return
-        opcode = st.pending_opcode
-        if st.addr_format in ("full", "row"):
+        if row.addr in (AddrFormat.FULL, AddrFormat.ROW):
             st.have_row = True
-        st.phase = "await_confirm"
-        if opcode == CMD.GET_FEATURES:
-            st.busy = _Busy(
-                "feature", Iv.exact(self.vendor.timing.t_feat_ns), where)
-            st.pending_arm = "feature"
-            st.pending_loads = False
-        elif opcode == CMD.READ_ID:
-            st.armed = "id"
-            st.phase = "idle"
-        elif opcode == CMD.READ_PARAMETER_PAGE:
-            st.busy = _Busy(
-                "param", Iv.exact(self.vendor.timing.t_param_read_ns), where)
-            st.pending_arm = "param"
-            st.pending_loads = False
-        elif opcode == CMD.CHANGE_WRITE_COL:
-            st.phase = "await_confirm" if st.have_row else "idle"
+        st.phase = LunState.AWAIT_CONFIRM
+        arm = row.arms
+        if arm is not None:
+            if arm.busy is None:
+                st.armed = arm.source
+                st.phase = LunState.IDLE
+            else:
+                st.busy = _Busy(
+                    arm.busy.value,
+                    Iv.exact(getattr(self.vendor.timing, arm.busy_attr)),
+                    where)
+                st.pending_arm = arm.source
+                st.pending_loads = False
+        elif row.mid_program and not st.have_row:
+            st.phase = LunState.IDLE
         st.prev_wire = "addr"
 
     def _on_data_out(self, nbytes: int, where: str, st: _State) -> None:
         # Arming discipline (SAN202 mirror).
-        if st.armed == "status":
+        if st.armed is DataSource.STATUS:
             pass  # status is readable at any time, busy included
         elif st.pending_arm is not None and st.busy is not None:
             certainty = ("before" if st.busy.remaining.lo > 0
                          else "possibly before")
             self.flag(
                 "OPV102", "error", where,
-                f"data-out burst streams the {st.pending_arm} source "
+                f"data-out burst streams the {st.pending_arm.value} source "
                 f"{certainty} the {st.busy.kind} array time elapses "
                 f"(remaining {st.busy.remaining.describe()}) — SAN202 at "
                 f"run time",
                 hint="poll READ STATUS (or wait past the worst-case "
                      "array time) before streaming data out",
             )
-        elif st.armed == "none":
+        elif st.armed is DataSource.NONE:
             self.flag(
                 "OPV102", "error", where,
                 "data-out burst with no data source armed on any path "
@@ -1077,13 +1070,14 @@ class _Verifier:
                 hint="arm a source first: status/ID read, E0 column "
                      "confirm, or a completed array read",
             )
-        elif st.armed == "register" and st.register_loaded == "no":
+        elif st.armed is DataSource.REGISTER and st.register_loaded == "no":
             self.flag(
                 "OPV102", "error", where,
                 "data-out burst reads an empty page register — no array "
                 "read completed on this path (SAN202 at run time)",
             )
-        elif st.armed == "register" and st.register_loaded == "maybe":
+        elif (st.armed is DataSource.REGISTER
+              and st.register_loaded == "maybe"):
             self.flag(
                 "OPV102", "warning", where,
                 "data-out burst may read an empty page register on some "
@@ -1122,7 +1116,7 @@ class _Verifier:
             st.since_ccol = None
 
     def _on_data_in(self, nbytes: int, where: str, st: _State) -> None:
-        if st.pending_opcode == CMD.SET_FEATURES:
+        if st.pending is not None and st.pending.opcode == CMD.SET_FEATURES:
             st.busy = _Busy(
                 "feature", Iv.exact(self.vendor.timing.t_feat_ns), where)
             return
@@ -1205,7 +1199,7 @@ class _Verifier:
             st.cache_busy = None
             st.cache_prog = None
         st.ready_gap = Iv(0, INF)
-        st.armed = "status"  # the final sample latched READ STATUS
+        st.armed = DataSource.STATUS  # the final sample latched READ STATUS
         if node.dest:
             st.regs_def.add(node.dest)
             st.regs_maybe.add(node.dest)
@@ -1224,7 +1218,7 @@ class _Verifier:
         st.advance(Iv.at_least(self._poll_round_ns))
         st._complete_busy()
         st.ready_gap = Iv(0, INF)
-        st.armed = "status"
+        st.armed = DataSource.STATUS
         st.regs_def.update((node.dest_pos, node.dest_mask))
         st.regs_maybe.update((node.dest_pos, node.dest_mask))
         self.inexact = True  # which replica wins is data-dependent
@@ -1279,10 +1273,10 @@ class _Verifier:
         st.cache_prog = None
         st.pending_arm = None
         st.pending_loads = False
-        st.armed = "unknown"
+        st.armed = None
         st.register_loaded = "maybe"
-        st.phase = "idle"
-        st.pending_opcode = None
+        st.phase = LunState.IDLE
+        st.pending = None
         st.status_addr_pending = False
         st.since_confirm = None
         st.since_ccol = None

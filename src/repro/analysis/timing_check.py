@@ -19,38 +19,19 @@ verifies per-LUN ONFI sequencing and inter-event timing rules:
 
 The checker runs over *decoded events*, so it validates any controller
 on the channel — BABOL or the hardware baselines — which is how the
-test suite proves all three emit legal ONFI.
+test suite proves all three emit legal ONFI.  Which opcodes confirm,
+carry address cycles, or arm a data source comes from their rows in
+:mod:`repro.onfi.protocol`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.logic_analyzer import AnalyzerEvent, LogicAnalyzer
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
+from repro.onfi.protocol import OPCODES, Effect, opcode_name
 from repro.onfi.timing import TimingSet
-
-_ADDRESS_BEARING = {
-    CommandClass.READ,
-    CommandClass.PROGRAM,
-    CommandClass.ERASE,
-    CommandClass.IDENT,
-    CommandClass.FEATURES,
-}
-_CONFIRM = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.CACHE_READ_CONFIRM,
-    CommandClass.CACHE_READ_END,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-_ARMS_DATA_OUT = {
-    CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED, CMD.READ_ID,
-    CMD.CHANGE_READ_COL_2ND, CMD.GET_FEATURES, CMD.READ_PARAMETER_PAGE,
-}
 
 
 def _burst_bytes(event: AnalyzerEvent) -> int:
@@ -106,7 +87,6 @@ class _LunTrack:
     last_ccol_confirm_ns: Optional[int] = None
     awaiting_address: Optional[int] = None  # opcode expecting address next
     data_armed: bool = False
-    read_pending: bool = False
     # Previous wire event (cmd/addr/data) for turnaround rules; R/B#
     # edges and idle waits do not count as wire activity.
     prev_kind: Optional[str] = None
@@ -176,7 +156,7 @@ class TimingChecker:
 
     def _on_command(self, track: _LunTrack, event: AnalyzerEvent) -> None:
         opcode = event.opcode
-        cls = classify_opcode(opcode) if opcode is not None else CommandClass.UNKNOWN
+        row = OPCODES.get(opcode) if opcode is not None else None
 
         # tRHW: after a data-out burst, WE# must not fall until the
         # RE#-to-WE# turnaround has elapsed.
@@ -191,13 +171,13 @@ class TimingChecker:
                 f"(tRHW={self.timing.tRHW}ns)",
             )
 
-        if track.awaiting_address is not None and cls is not CommandClass.UNKNOWN:
+        if track.awaiting_address is not None and row is not None:
             expecting = track.awaiting_address
             # A second command before the address is legal only for
             # multi-latch preambles that embed vendor prefixes; an
             # address-bearing command chained straight into a confirm
             # without any address is not.
-            if cls in _CONFIRM:
+            if row.confirms:
                 self._flag(
                     event, "confirm-without-address",
                     f"{opcode_name(opcode)} follows "
@@ -205,11 +185,13 @@ class TimingChecker:
                 )
             track.awaiting_address = None
 
+        if row is None:
+            return
         # tWB: after a confirm, the controller must give the LUN tWB
         # before asking anything of it (status polls included).
         if (
             track.last_confirm_ns is not None
-            and cls is CommandClass.STATUS
+            and row.effect is Effect.STATUS
             and event.time_ns - track.last_confirm_ns < self.timing.tWB
         ):
             self._flag(
@@ -218,21 +200,14 @@ class TimingChecker:
                 f"after confirm (tWB={self.timing.tWB}ns)",
             )
 
-        if cls in _ADDRESS_BEARING:
+        if row.addr is not None:
             track.awaiting_address = opcode
-        if opcode in (CMD.READ_STATUS_ENHANCED, CMD.CHANGE_WRITE_COL):
-            # Both carry address cycles despite their command class.
-            track.awaiting_address = opcode
-        if cls in _CONFIRM:
+        if row.confirms:
             track.last_confirm_ns = event.time_ns
-            if cls is CommandClass.READ_CONFIRM:
-                track.read_pending = True
-        if opcode in _ARMS_DATA_OUT:
+        if row.arms is not None:
             track.data_armed = True
-        if opcode == CMD.CHANGE_READ_COL_2ND:
+        if row.effect is Effect.ARM_COLUMN:
             track.last_ccol_confirm_ns = event.time_ns
-        if opcode == CMD.CHANGE_READ_COL_1ST or opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-            track.awaiting_address = opcode
 
     def _on_address(self, track: _LunTrack, event: AnalyzerEvent) -> None:
         if track.awaiting_address is None:

@@ -11,7 +11,7 @@ anything from it.
 
 This module is the TLM tier's second gear.  For operations submitted
 through the FTL-facing convenience wrappers (``controller.read_page``
-and friends), the op-IR program is checked by the compile pass
+and friends), the op-IR program is checked by the plan gate
 (:func:`repro.core.opir.summarize.plan_check`) and, when it is
 straight-line — transactions, handle declarations, polls, constant
 sleeps, a return, or a one-call wrapper around such a program — it is

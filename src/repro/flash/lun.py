@@ -6,15 +6,16 @@ latching commands and addresses, going busy for the array times of its
 vendor profile, exposing a status register, and moving data between the
 flash array, its page/cache registers, and the controller's DMA handles.
 
-The model enforces protocol legality: a command latched while the LUN is
-array-busy (other than status/reset/suspend) raises
-:class:`LunProtocolError`, which is how tests prove the controllers
-never violate ONFI sequencing.
+What each opcode does comes from its row in :mod:`repro.onfi.protocol`:
+the LUN looks the row up once per command latch and runs the handler
+for the row's effect.  The model enforces protocol legality: a command
+latched while the LUN is array-busy (other than the rows marked
+``busy_ok``: status/reset/suspend) raises :class:`LunProtocolError`,
+which is how tests prove the controllers never violate ONFI sequencing.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
 import numpy as np
@@ -22,9 +23,19 @@ import numpy as np
 from repro.flash.array import FlashArray
 from repro.flash.cell import CellMode, profile_for
 from repro.flash.vendors import VendorProfile
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
-from repro.onfi.features import FeatureAddress, FeatureStore
+from repro.onfi.commands import CMD
+from repro.onfi.features import FeatureStore
 from repro.onfi.geometry import AddressCodec, PhysicalAddress
+from repro.onfi.protocol import (
+    SUSPENDABLE,
+    AddrFormat,
+    BusyKind as _BusyKind,
+    DataSource as _DataSource,
+    Effect,
+    LunState,
+    OpcodeRow,
+    opcode_row,
+)
 from repro.onfi.signals import (
     Action,
     AddressLatch,
@@ -41,37 +52,6 @@ from repro.sim.sync import Trigger
 
 class LunProtocolError(RuntimeError):
     """An ONFI sequencing violation by the controller under test."""
-
-
-class LunState(enum.Enum):
-    IDLE = "idle"
-    AWAIT_ADDRESS = "await_address"
-    AWAIT_CONFIRM = "await_confirm"
-    ARRAY_BUSY = "array_busy"
-    CACHE_BUSY = "cache_busy"
-    SUSPENDED = "suspended"
-
-
-class _DataSource(enum.Enum):
-    NONE = "none"
-    STATUS = "status"
-    REGISTER = "register"
-    FEATURE = "feature"
-    ID = "id"
-    PARAM_PAGE = "param_page"
-
-
-class _BusyKind(enum.Enum):
-    READ = "read"
-    PROGRAM = "program"
-    ERASE = "erase"
-    FEATURE = "feature"
-    RESET = "reset"
-    PARAM = "param"
-    DUMMY = "dummy"
-
-
-_SUSPENDABLE = {_BusyKind.PROGRAM, _BusyKind.ERASE}
 
 
 class _PendingCompletion:
@@ -163,8 +143,7 @@ class Lun:
         self._rng = np.random.default_rng(seed ^ 0x5A5A)
 
         self.state = LunState.IDLE
-        self._pending_opcode: Optional[int] = None
-        self._addr_format = "full"
+        self._pending_row: Optional[OpcodeRow] = None  # awaiting its address
         self._data_source = _DataSource.NONE
         self._column = 0
         self._row_addr: Optional[PhysicalAddress] = None
@@ -340,156 +319,93 @@ class Lun:
             raise LunProtocolError(f"unknown action {action!r}")
 
     def _on_command(self, opcode: int) -> None:
-        name = opcode_name(opcode)
+        row = opcode_row(opcode)
+        name = row.name
         self.op_counts[name] = self.op_counts.get(name, 0) + 1
-        cls = classify_opcode(opcode)
-
-        if self.state is LunState.ARRAY_BUSY and cls not in (
-            CommandClass.STATUS,
-            CommandClass.RESET,
-        ) and opcode != CMD.VENDOR_SUSPEND:
+        if self.state is LunState.ARRAY_BUSY and not row.busy_ok:
             if self._san_flash is not None:
                 self._san_flash.on_busy_violation(self, opcode)
             raise LunProtocolError(
-                f"opcode {opcode_name(opcode)} latched while LUN {self.position} is busy"
+                f"opcode {name} latched while LUN {self.position} is busy"
             )
+        self._ON_LATCH[row.effect](self, row)
 
-        if cls is CommandClass.STATUS:
-            if self._san_liveness is not None:
-                self._san_liveness.on_status_poll(self)
-            self._data_source = _DataSource.STATUS
-            # READ STATUS ENHANCED carries a row address (die select on
-            # multi-LUN packages); it is legal while the array is busy,
-            # so it must not disturb the busy state machine.
-            self._status_addr_pending = opcode == CMD.READ_STATUS_ENHANCED
-            return
-        if cls is CommandClass.RESET:
-            self._do_reset()
-            return
-        if opcode == CMD.VENDOR_SUSPEND:
-            self._do_suspend()
-            return
-        if opcode == CMD.VENDOR_RESUME:
-            self._do_resume()
-            return
-        if opcode == CMD.VENDOR_PSLC_ENTER:
-            if not self.profile.supports_pslc:
-                raise LunProtocolError(f"{self.profile.name} has no pSLC opcode")
-            self._pslc_override = True
-            return
-        if opcode == CMD.VENDOR_PSLC_EXIT:
-            self._pslc_override = False
-            return
+    # -- latch handlers, one per protocol Effect ------------------------
 
-        if cls is CommandClass.READ:
-            self._pending_opcode = opcode
-            self._addr_format = "full"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.READ_CONFIRM:
-            self._confirm_read(queue_more=(opcode == CMD.MP_READ_2ND))
-        elif cls is CommandClass.CACHE_READ_CONFIRM:
-            self._confirm_cache_read(final=False)
-        elif cls is CommandClass.CACHE_READ_END:
-            self._confirm_cache_read(final=True)
-        elif cls is CommandClass.CHANGE_READ_COLUMN:
-            if opcode == CMD.CHANGE_READ_COL_1ST:
-                self._pending_opcode = opcode
-                self._addr_format = "col"
-                self.state = LunState.AWAIT_ADDRESS
-            elif opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-                # Enhanced variant carries a full address (selects the
-                # plane whose register subsequent bursts read from).
-                self._pending_opcode = opcode
-                self._addr_format = "full"
-                self.state = LunState.AWAIT_ADDRESS
-            else:  # 0xE0 confirm: register data now readable
-                self._data_source = _DataSource.REGISTER
-                self.state = LunState.IDLE
-        elif cls is CommandClass.PROGRAM:
-            self._pending_opcode = opcode
-            self._addr_format = "full"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.PROGRAM_CONFIRM:
-            self._confirm_program(cache=False, queue_more=(opcode == CMD.MP_PROGRAM_2ND))
-        elif cls is CommandClass.CACHE_PROGRAM_CONFIRM:
-            self._confirm_program(cache=True)
-        elif cls is CommandClass.CHANGE_WRITE_COLUMN:
-            self._pending_opcode = opcode
-            self._addr_format = "col"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.ERASE:
-            self._pending_opcode = opcode
-            self._addr_format = "row"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.ERASE_CONFIRM:
-            self._confirm_erase(queue_more=(opcode == CMD.MP_ERASE_2ND))
-        elif cls is CommandClass.IDENT:
-            self._pending_opcode = opcode
-            self._addr_format = "one"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.FEATURES:
-            self._pending_opcode = opcode
-            self._addr_format = "one"
-            self.state = LunState.AWAIT_ADDRESS
-        else:
-            raise LunProtocolError(f"unsupported opcode 0x{opcode:02X}")
+    def _latch_status(self, row: OpcodeRow) -> None:
+        if self._san_liveness is not None:
+            self._san_liveness.on_status_poll(self)
+        self._data_source = row.arms.source
+        # READ STATUS ENHANCED carries a row address (die select on
+        # multi-LUN packages); it is legal while the array is busy, so
+        # it must not disturb the busy state machine.
+        self._status_addr_pending = row.addr is not None
+
+    def _latch_address(self, row: OpcodeRow) -> None:
+        self._pending_row = row
+        self.state = LunState.AWAIT_ADDRESS
+
+    def _latch_arm_column(self, row: OpcodeRow) -> None:
+        # E0h: register data is readable again at the new column.
+        self._data_source = row.arms.source
+        self.state = LunState.IDLE
+
+    def _latch_pslc(self, row: OpcodeRow) -> None:
+        entering = row.effect is Effect.PSLC_ENTER
+        if entering and not self.profile.supports_pslc:
+            raise LunProtocolError(f"{self.profile.name} has no pSLC opcode")
+        self._pslc_override = entering
+
+    def _latch_unsupported(self, row: OpcodeRow) -> None:
+        raise LunProtocolError(f"unsupported opcode 0x{row.opcode:02X}")
 
     # ------------------------------------------------------------------
     # Address handling
     # ------------------------------------------------------------------
 
     def _on_address(self, address_bytes: tuple[int, ...]) -> None:
-        if getattr(self, "_status_addr_pending", False):
+        if self._status_addr_pending:
             # Enhanced-status die select; single-die positions ignore it.
             self._status_addr_pending = False
             return
-        if self.state is not LunState.AWAIT_ADDRESS or self._pending_opcode is None:
+        row = self._pending_row
+        if self.state is not LunState.AWAIT_ADDRESS or row is None:
             raise LunProtocolError("address latched without a preceding command")
-        opcode = self._pending_opcode
 
-        if self._addr_format == "full":
+        fmt = row.addr
+        if fmt is AddrFormat.FULL:
             addr = self.codec.decode(address_bytes)
             self._row_addr = addr
             self._column = addr.column
             self._active_plane = self.codec.plane_of(addr)
-        elif self._addr_format == "row":
-            row = self.codec.decode_row(address_bytes)
-            block, page = divmod(row, self.geometry.pages_per_block)
+        elif fmt is AddrFormat.ROW:
+            row_index = self.codec.decode_row(address_bytes)
+            block, page = divmod(row_index, self.geometry.pages_per_block)
             self._row_addr = PhysicalAddress(block=block, page=page)
             self._active_plane = self.codec.plane_of(self._row_addr)
-        elif self._addr_format == "col":
+        elif fmt is AddrFormat.COL:
             self._column = self.codec.decode_column(address_bytes)
-        elif self._addr_format == "one":
-            value = address_bytes[0]
-            if classify_opcode(opcode) is CommandClass.FEATURES:
-                self._feature_addr = value
-            else:
-                self._id_area = value
-        else:  # pragma: no cover
-            raise LunProtocolError(f"bad address format {self._addr_format}")
+        elif fmt is AddrFormat.FEATURE:
+            self._feature_addr = address_bytes[0]
+        else:  # AddrFormat.ID
+            self._id_area = address_bytes[0]
 
         self.state = LunState.AWAIT_CONFIRM
-        # Commands whose effect happens right after the address phase.
-        if opcode == CMD.GET_FEATURES:
-            self._begin_busy(
-                _BusyKind.FEATURE,
-                self.profile.timing.t_feat_ns,
-                finish=lambda: self._arm(_DataSource.FEATURE),
-            )
-        elif opcode == CMD.READ_ID:
-            self._data_source = _DataSource.ID
+        # The row's post-address effect: arm a source now or after a
+        # busy window, or (85h) drop back to idle outside a program.
+        arm = row.arms
+        if arm is not None:
+            if arm.busy is None:
+                self._data_source = arm.source
+                self.state = LunState.IDLE
+            else:
+                self._begin_busy(
+                    arm.busy,
+                    getattr(self.profile.timing, arm.busy_attr),
+                    finish=lambda: self._arm(arm.source),
+                )
+        elif row.mid_program and self._row_addr is None:
             self.state = LunState.IDLE
-        elif opcode == CMD.READ_PARAMETER_PAGE:
-            self._begin_busy(
-                _BusyKind.PARAM,
-                self.profile.timing.t_param_read_ns,
-                finish=lambda: self._arm(_DataSource.PARAM_PAGE),
-            )
-        elif opcode == CMD.CHANGE_WRITE_COL:
-            # Mid-program column move: stay armed for the confirm cycle.
-            self.state = (
-                LunState.AWAIT_CONFIRM if self._row_addr is not None else LunState.IDLE
-            )
 
     def _arm(self, source: _DataSource) -> None:
         self._data_source = source
@@ -541,7 +457,8 @@ class Lun:
         raise LunProtocolError("data out requested with no data source armed")
 
     def _on_data_in(self, action: DataInAction) -> None:
-        if self._pending_opcode == CMD.SET_FEATURES:
+        pending = self._pending_row
+        if pending is not None and pending.opcode == CMD.SET_FEATURES:
             data = self._fetch(action, 4)
             params = tuple(int(b) for b in data[:4])
             finish = lambda: self.features.set(self._feature_addr, params)  # noqa: E731
@@ -602,9 +519,9 @@ class Lun:
         scale = profile_for(mode).program_time_scale if mode else 1.0
         return self._sample(self.profile.timing.t_prog_ns, scale)
 
-    def _confirm_read(self, queue_more: bool) -> None:
+    def _confirm_read(self, row: OpcodeRow) -> None:
         addr = self._require_row()
-        if queue_more:
+        if row.queue:
             # Multi-plane queue cycle: short inter-plane busy, then ready
             # for the next plane's 0x00/address.
             self._mp_queue.append(addr)
@@ -630,7 +547,7 @@ class Lun:
 
         self._begin_busy(_BusyKind.READ, duration, finish=finish)
 
-    def _confirm_cache_read(self, final: bool) -> None:
+    def _confirm_cache_read(self, row: OpcodeRow) -> None:
         """READ CACHE SEQUENTIAL / END (interleaves tR with transfers)."""
         if self._row_addr is None:
             raise LunProtocolError("cache read without a prior page read")
@@ -646,7 +563,7 @@ class Lun:
         # readable while the array fetches the next sequential page.
         self._cache_register[plane] = register
         next_row = self._next_sequential(self._row_addr)
-        if final or next_row is None:
+        if row.effect is Effect.CACHE_READ_END or next_row is None:
             self._data_source = _DataSource.REGISTER
             self._page_register[plane] = self._cache_register[plane]
             self._column = 0
@@ -685,9 +602,9 @@ class Lun:
             return PhysicalAddress(block=addr.block, page=addr.page + 1)
         return None
 
-    def _confirm_program(self, cache: bool, queue_more: bool = False) -> None:
+    def _confirm_program(self, row: OpcodeRow) -> None:
         addr = self._require_row()
-        if queue_more:
+        if row.queue:
             self._mp_queue.append(addr)
             self._begin_busy(_BusyKind.DUMMY, self.profile.timing.t_dbsy_ns)
             return
@@ -730,7 +647,7 @@ class Lun:
             self.programs_completed += len(targets)
             self.status.finish_operation(failed=failed)
 
-        if cache:
+        if row.effect is Effect.CACHE_PROGRAM:
             # Cache program: the array works in the background while the
             # interface stays usable (RDY without ARDY), so the next
             # page's data can stream in during tPROG.
@@ -752,9 +669,9 @@ class Lun:
                 _BusyKind.PROGRAM, duration, finish=finish, sets_status=False
             )
 
-    def _confirm_erase(self, queue_more: bool) -> None:
+    def _confirm_erase(self, row: OpcodeRow) -> None:
         addr = self._require_row()
-        if queue_more:
+        if row.queue:
             self._mp_queue.append(addr)
             self._begin_busy(_BusyKind.DUMMY, self.profile.timing.t_dbsy_ns)
             return
@@ -845,7 +762,7 @@ class Lun:
         self.rb_trigger.fire(self)
         self._notify_rb(False)
 
-    def _do_reset(self) -> None:
+    def _do_reset(self, row: OpcodeRow) -> None:
         if self._busy_event is not None and self._busy_event.pending:
             self._busy_event.cancel()
         self._busy_finish = None
@@ -859,10 +776,10 @@ class Lun:
         self.status.suspended = False
         self._begin_busy(_BusyKind.RESET, self.profile.timing.t_reset_ns)
 
-    def _do_suspend(self) -> None:
+    def _do_suspend(self, row: OpcodeRow) -> None:
         if not self.profile.supports_suspend:
             raise LunProtocolError(f"{self.profile.name} has no suspend opcode")
-        if self.state is not LunState.ARRAY_BUSY or self._busy_kind not in _SUSPENDABLE:
+        if self.state is not LunState.ARRAY_BUSY or self._busy_kind not in SUSPENDABLE:
             raise LunProtocolError("suspend latched with no suspendable operation")
         if self._busy_event is not None:  # a hung busy has no event
             self._busy_event.cancel()
@@ -879,7 +796,7 @@ class Lun:
         self.rb_trigger.fire(self)
         self._notify_rb(False)
 
-    def _do_resume(self) -> None:
+    def _do_resume(self, row: OpcodeRow) -> None:
         if not self._suspend_pending or self.state is LunState.ARRAY_BUSY:
             raise LunProtocolError("resume latched while not suspended")
         self.status.suspended = False
@@ -889,6 +806,25 @@ class Lun:
         finish = self._suspended_finish
         self._suspend_remaining = 0
         self._begin_busy(kind, remaining, finish=finish, sets_status=False)
+
+    #: Protocol effect -> latch handler (called with the opcode's row).
+    _ON_LATCH = {
+        Effect.ADDRESS: _latch_address,
+        Effect.STATUS: _latch_status,
+        Effect.ARM_COLUMN: _latch_arm_column,
+        Effect.READ: _confirm_read,
+        Effect.CACHE_READ: _confirm_cache_read,
+        Effect.CACHE_READ_END: _confirm_cache_read,
+        Effect.PROGRAM: _confirm_program,
+        Effect.CACHE_PROGRAM: _confirm_program,
+        Effect.ERASE: _confirm_erase,
+        Effect.RESET: _do_reset,
+        Effect.SUSPEND: _do_suspend,
+        Effect.RESUME: _do_resume,
+        Effect.PSLC_ENTER: _latch_pslc,
+        Effect.PSLC_EXIT: _latch_pslc,
+        Effect.UNSUPPORTED: _latch_unsupported,
+    }
 
     def describe(self) -> str:
         return (

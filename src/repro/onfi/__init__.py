@@ -1,15 +1,17 @@
 """ONFI 5.x substrate: the vocabulary shared by controllers and packages.
 
 This subpackage encodes the subset of the Open NAND Flash Interface
-specification that the paper's controllers exercise: command opcodes,
-timing-parameter sets per data-interface mode, the pin/signal and
-waveform-segment model, address geometry codecs, the status register,
-and the SET/GET FEATURES address map.
+specification that the paper's controllers exercise: command opcodes
+and the per-opcode die protocol table, timing-parameter sets per
+data-interface mode, the pin/signal and waveform-segment model, address
+geometry codecs, the status register, and the SET/GET FEATURES address
+map.
 """
 
-from repro.onfi.commands import (
-    CMD,
-    CommandClass,
+from repro.onfi.commands import CMD, CommandClass
+from repro.onfi.protocol import (
+    OPCODES,
+    OpcodeRow,
     classify_opcode,
     is_vendor_opcode,
     opcode_name,
@@ -43,6 +45,8 @@ __all__ = [
     "classify_opcode",
     "is_vendor_opcode",
     "opcode_name",
+    "OPCODES",
+    "OpcodeRow",
     "DataInterface",
     "NVDDR2_100",
     "NVDDR2_200",

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.onfi.commands import opcode_name
+from repro.onfi.protocol import opcode_name
 from repro.onfi.datamodes import DataInterface
 from repro.onfi.timing import TimingSet
 

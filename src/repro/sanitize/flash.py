@@ -18,7 +18,7 @@ the model is silent about:
 
 from __future__ import annotations
 
-from repro.onfi.commands import CMD, opcode_name
+from repro.onfi.protocol import STATUS_OPCODES, opcode_name
 from repro.onfi.signals import CommandLatch, DataOutAction
 from repro.sanitize.base import Sanitizer
 
@@ -30,8 +30,6 @@ class FlashSanitizer(Sanitizer):
     # SAN203 inspects chip-select masks on driven segments via a channel
     # tap, which the TLM tier never fires.
     requires_waveform = True
-
-    _STATUS_OPCODES = (CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED)
 
     def attach(self, target, report) -> None:
         super().attach(target, report)
@@ -49,12 +47,17 @@ class FlashSanitizer(Sanitizer):
     # -- hooks from the LUN model --------------------------------------
 
     def on_busy_violation(self, lun, opcode: int) -> None:
-        remaining = max(lun._busy_until - lun.sim.now, 0)
         kind = lun._busy_kind.value if lun._busy_kind is not None else "?"
+        if lun._busy_until < 0:
+            # An injected hang: no completion is scheduled at all.
+            left = "holds R/B# low and never returns (hung die)"
+        else:
+            remaining = max(lun._busy_until - lun.sim.now, 0)
+            left = f"still has {remaining} ns of array time left"
         self.emit(
             "SAN201",
             f"opcode {opcode_name(opcode)} latched while the {kind} "
-            f"operation still has {remaining} ns of array time left",
+            f"operation {left}",
             component=f"lun/{lun.position}",
             hint="poll READ STATUS until RDY (or suspend the operation) "
                  "before issuing the next command",
@@ -75,7 +78,7 @@ class FlashSanitizer(Sanitizer):
         has_data_out = any(isinstance(action, DataOutAction)
                            for _, action in segment.actions)
         is_status = any(isinstance(action, CommandLatch)
-                        and action.opcode in self._STATUS_OPCODES
+                        and action.opcode in STATUS_OPCODES
                         for _, action in segment.actions)
         if not has_data_out and not is_status:
             return

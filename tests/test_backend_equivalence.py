@@ -346,39 +346,6 @@ def test_scale_stack_uses_the_plan_executor_under_tlm():
 
 
 # ---------------------------------------------------------------------------
-# Closed-form compile pass vs measured occupancy
-# ---------------------------------------------------------------------------
-
-
-def test_timing_summary_matches_measured_channel_occupancy():
-    """``summarize_program``'s closed form must equal what the waveform
-    tier actually measures: non-poll occupancy plus one status round
-    trip per observed poll."""
-    from repro.core.opir.registry import _cached_program, _resolved_builder
-    from repro.core.opir.summarize import summarize_program
-
-    sim, controller = _make("waveform", "rtos")
-    program = _cached_program(
-        _resolved_builder("full_page_read", controller.config.vendor),
-        {"codec": controller.codec, "address": ADDR, "dram_address": 0},
-    )
-    summary = summarize_program(
-        program, controller.ufsm, controller.config.vendor.timing,
-        vendor=controller.config.vendor,
-    )
-    assert summary.exact
-
-    task = controller.submit(full_page_read_op, 0, codec=controller.codec,
-                             address=ADDR, dram_address=0)
-    controller.run_to_completion(task)
-    polls = controller.luns[0].op_counts.get("READ_STATUS", 0)
-    measured = controller.channel.stats.busy_ns
-    assert measured == summary.channel_ns + polls * summary.poll_txn_ns
-    assert summary.bytes_out == PAGE
-    assert summary.lun_busy_ns == TEST_PROFILE.timing.t_read_ns
-
-
-# ---------------------------------------------------------------------------
 # ShardedFtl aggregation edge cases
 # ---------------------------------------------------------------------------
 

@@ -61,6 +61,23 @@ def test_san201_opcode_latched_while_array_busy():
     assert "poll READ STATUS" in found.hint
 
 
+def test_san201_on_a_hung_die_says_rb_never_returns():
+    from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
+
+    sim, channel, report = make_rig()
+    lun = channel.luns[0]
+    campaign = FaultCampaign(name="hang", seed=1, faults=[
+        FaultSpec(kind=FaultKind.DIE_HANG, lun=0, count=None)])
+    FaultInjector(campaign).attach(SimpleNamespace(luns=[lun]))
+    begin_erase(sim, lun)
+    with pytest.raises(LunProtocolError):
+        lun._on_command(CMD.READ_1ST)
+    (found,) = report.findings
+    assert found.rule == "SAN201"
+    assert "erase operation holds R/B# low and never returns" in found.message
+    assert "ns of array time left" not in found.message
+
+
 def test_status_poll_while_busy_is_legal():
     sim, channel, report = make_rig()
     lun = channel.luns[0]
